@@ -27,7 +27,6 @@ class LearnedClause:
     asserting: int  # the unique literal at `level`
     source: Clause | None = None  # the conflicting clause itself, when returned unchanged
     steps: list = field(default_factory=list)  # (pivot trail literal, "reason" | "lazy")
-    mid_chain_lazy: bool = False  # a lazy override fired while n > 1
 
 
 def resolve(d_lits, c_lits, pivot):
@@ -47,28 +46,6 @@ def resolve(d_lits, c_lits, pivot):
     return out
 
 
-def clause_level(state, lits):
-    """Max level over the literals; the empty clause has level 0."""
-    level = state.level
-    best = 0
-    for x in lits:
-        lx = level[x >> 1]
-        if lx > best:
-            best = lx
-    return best
-
-
-def second_level(state, lits):
-    """Second-highest distinct level over the literals (0 when absent)."""
-    levels = sorted({state.level[x >> 1] for x in lits}, reverse=True)
-    return levels[1] if len(levels) >= 2 else 0
-
-
-def count_at_level(state, lits, d):
-    level = state.level
-    return sum(1 for x in lits if level[x >> 1] == d)
-
-
 def analyze(state, conflict, strategy=2):
     """Run conflict analysis on a fully falsified clause (or literal list)."""
     if isinstance(conflict, Clause):
@@ -82,7 +59,6 @@ def analyze(state, conflict, strategy=2):
     if state.checked:
         assert all(state.val[x] == FALSE for x in d_lits), "conflict clause must be falsified"
     steps = []
-    mid_chain_lazy = False
     guard = 4 * len(state.trail) + 2 * len(d_lits) + 8
     while True:
         guard -= 1
@@ -114,13 +90,10 @@ def analyze(state, conflict, strategy=2):
                 asserting=pivot,
                 source=source if not steps else None,
                 steps=steps,
-                mid_chain_lazy=mid_chain_lazy,
             )
         if lazy is not None:
             reason = lazy
             kind = "lazy"
-            if n > 1:
-                mid_chain_lazy = True
         else:
             reason = state.reason[pivot >> 1]
             kind = "reason"
@@ -138,31 +111,47 @@ def minimize(state, learned):
     trail complement (the real reason or the stored MLI) has every other
     literal either in the clause already or itself removable.  The
     asserting literal is never dropped.
+
+    The search walks implying clauses depth first on an explicit stack
+    (Sörensson & Biere 2009), so a long implication chain cannot exhaust
+    the interpreter's recursion limit.  It visits the real reason before
+    the stored MLI and each clause in literal order.  A literal whose walk
+    is still open counts as not removable, which cuts cycles.
     """
     dset = set(learned.lits)
-    memo = {}
+    memo = {}  # trail literal -> removable; False while its walk is open
 
-    def removable(trail_lit):
-        cached = memo.get(trail_lit)
-        if cached is not None:
-            return cached
-        memo[trail_lit] = False
-        v = trail_lit >> 1
-        for reason in (state.reason[v], state.lazy_cl[v]):
-            if reason is None:
-                continue
-            ok = True
-            for y in reason.lits:
-                if y == trail_lit:
-                    continue
-                if y in dset or removable(y ^ 1):
-                    continue
-                ok = False
-                break
-            if ok:
-                memo[trail_lit] = True
-                return True
-        return False
+    def removable(root):
+        if root in memo:
+            return memo[root]
+        memo[root] = False
+        stack = [(root, 0, 0)]  # trail literal, implying-clause slot, literal index
+        while stack:
+            t, slot, i = stack.pop()
+            v = t >> 1
+            reasons = (state.reason[v], state.lazy_cl[v])
+            while slot < 2:
+                reason = reasons[slot]
+                if reason is not None:
+                    lits = reason.lits
+                    while i < len(lits):
+                        y = lits[i]
+                        if y != t and y not in dset and not memo.get(y ^ 1):
+                            break
+                        i += 1
+                    if i == len(lits):
+                        memo[t] = True
+                        break
+                    child = lits[i] ^ 1
+                    if child not in memo:
+                        # Resume here once the child's walk is closed.
+                        stack.append((t, slot, i))
+                        stack.append((child, 0, 0))
+                        memo[child] = False
+                        break
+                slot += 1
+                i = 0
+        return memo[root]
 
     kept = [
         x for x in learned.lits if x == learned.asserting or not removable(x ^ 1)
@@ -178,5 +167,4 @@ def minimize(state, learned):
         asserting=learned.asserting,
         source=None,
         steps=learned.steps,
-        mid_chain_lazy=learned.mid_chain_lazy,
     )

@@ -15,7 +15,6 @@ implications:
 
 from __future__ import annotations
 
-from .formula import lit_to_int
 from .state import INF, UNDEF
 
 
@@ -80,16 +79,6 @@ def backtrack(state, d, mode, stats=None):
     for lvl, _, clause in reimply:
         unassigned = [x for x in clause.lits if val[x] == UNDEF]
         assert len(unassigned) == 1, "a stored MLI must be unit after backtracking"
-        lit = unassigned[0]
-        trace = st.trace
-        st.trace = None  # the enqueue is reported as one reimply event, not imply
-        try:
-            st.enqueue_implied(lit, clause, lvl)
-        finally:
-            st.trace = trace
+        st.enqueue_implied(unassigned[0], clause, lvl, kind="reimply")
         if stats is not None:
             stats.reimplications += 1
-        if st.trace is not None:
-            st.trace(
-                {"kind": "reimply", "lit": lit_to_int(lit), "level": lvl, "clause": clause.index}
-            )

@@ -15,7 +15,7 @@ import time
 
 from .checker import ALL_INVARIANTS
 from .formula import DimacsError, parse_dimacs, write_dimacs
-from .solver import Solver, SolverConfig, Stats
+from .solver import CHECK_LEVELS, MODES, RESTARTS, Solver, SolverConfig, Stats
 from .testkit import load_dimacs_dir, random_3sat, satlib_clause_count
 
 EXIT_SAT = 10
@@ -43,7 +43,9 @@ def build_parser():
 
     solve = sub.add_parser("solve", help="solve one DIMACS CNF file")
     solve.add_argument("file")
-    _add_config_flags(solve)
+    solve.add_argument("--mode", choices=MODES, default="lscb")
+    _add_config_flags(solve, cb_threshold=100)
+    solve.add_argument("--check", choices=CHECK_LEVELS, default="off")
     solve.add_argument("--stats", metavar="FILE.csv", help="write a one-row stats CSV")
     solve.add_argument("--trace", metavar="FILE.jsonl", help="write one event per line")
 
@@ -64,12 +66,8 @@ def build_parser():
         help="generate COUNT random instances with N vars and M clauses",
     )
     src.add_argument("--dir", help="directory of .cnf files")
-    bench.add_argument("--modes", default="ncb,wcb,rscb,lscb")
-    bench.add_argument("--analyze", type=int, choices=(1, 2), default=2)
-    bench.add_argument("--cb-threshold", type=int, default=1)
-    bench.add_argument("--minimize", action="store_true")
-    bench.add_argument("--blockers", action="store_true")
-    bench.add_argument("--restarts", choices=("off", "agility"), default="off")
+    bench.add_argument("--modes", default=",".join(MODES))
+    _add_config_flags(bench, cb_threshold=1)
     bench.add_argument("--out", metavar="FILE.csv", help="default: stdout")
     bench.add_argument(
         "--wall-time", action="store_true", help="fill wall_ms (breaks byte determinism)"
@@ -77,15 +75,13 @@ def build_parser():
     return parser
 
 
-def _add_config_flags(cmd):
-    cmd.add_argument("--mode", choices=("ncb", "wcb", "rscb", "lscb"), default="lscb")
+def _add_config_flags(cmd, cb_threshold):
+    """The search flags that solve and bench share."""
     cmd.add_argument("--analyze", type=int, choices=(1, 2), default=2)
-    cmd.add_argument("--cb-threshold", type=int, default=100)
+    cmd.add_argument("--cb-threshold", type=int, default=cb_threshold)
     cmd.add_argument("--minimize", action="store_true")
     cmd.add_argument("--blockers", action="store_true")
-    cmd.add_argument("--restarts", choices=("off", "agility"), default="off")
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--check", choices=("off", "coarse", "fine"), default="off")
+    cmd.add_argument("--restarts", choices=RESTARTS, default="off")
 
 
 def _config_from(args, mode=None):
@@ -96,7 +92,6 @@ def _config_from(args, mode=None):
         minimize=args.minimize,
         blockers=args.blockers,
         restarts=args.restarts,
-        seed=getattr(args, "seed", 0),
         check_level=getattr(args, "check", "off"),
     )
 
@@ -188,16 +183,9 @@ def bench_rows(instances, modes, args):
     for name, formula, n, m in instances:
         verdicts = {}
         for mode in modes:
-            cfg = SolverConfig(
-                mode=mode,
-                analyze=args.analyze,
-                cb_threshold=args.cb_threshold,
-                minimize=args.minimize,
-                blockers=args.blockers,
-                restarts=args.restarts,
-            )
+            cfg = _config_from(args, mode)
             start = time.perf_counter()
-            solver = Solver(formula_copy(formula), cfg)
+            solver = Solver(formula.copy(), cfg)
             verdict = solver.solve()
             wall = (time.perf_counter() - start) * 1000.0
             verdicts[mode] = verdict.sat
@@ -254,18 +242,6 @@ class BenchDisagreement(RuntimeError):
         self.verdicts = verdicts
 
 
-def formula_copy(formula):
-    """Fresh Formula with only the original clauses (solvers mutate watches)."""
-    from .formula import Formula
-
-    out = Formula(formula.num_vars)
-    out.trivially_unsat = formula.trivially_unsat
-    for clause in formula.clauses:
-        if not clause.learned:
-            out.add_clause(clause.to_ints())
-    return out
-
-
 def render_bench_csv(rows):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BENCH_FIELDS, lineterminator="\n")
@@ -278,7 +254,7 @@ def render_bench_csv(rows):
 def cmd_bench(args):
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
-        if mode not in ("ncb", "wcb", "rscb", "lscb"):
+        if mode not in MODES:
             print("error: unknown mode %r" % mode, file=sys.stderr)
             return EXIT_ERROR
     instances = []

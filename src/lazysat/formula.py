@@ -26,14 +26,6 @@ def negate(lit: int) -> int:
     return lit ^ 1
 
 
-def lit_var(lit: int) -> int:
-    return lit >> 1
-
-
-def lit_sign(lit: int) -> int:
-    return lit & 1
-
-
 class Clause:
     """A stored disjunction with two watch slots and an optional blocker.
 
@@ -52,13 +44,6 @@ class Clause:
         self.learned = learned
         self.index = index
         self.search_pos = 0
-
-    def watched(self):
-        return self.lits[self.w0], self.lits[self.w1]
-
-    def other_watch(self, lit):
-        a = self.lits[self.w0]
-        return self.lits[self.w1] if a == lit else a
 
     def to_ints(self):
         return [lit_to_int(x) for x in self.lits]
@@ -122,11 +107,18 @@ class Formula:
             self.root_units.append(clause)
         return clause
 
-    def original_clauses(self):
-        return [c for c in self.clauses if not c.learned]
+    def copy(self):
+        """Fresh Formula with only the original clauses.
 
-    def to_int_clauses(self):
-        return [c.to_ints() for c in self.clauses]
+        Solving mutates watches and appends learned clauses, so each solve
+        of one input needs its own copy.
+        """
+        out = Formula(self.num_vars)
+        out.trivially_unsat = self.trivially_unsat
+        for clause in self.clauses:
+            if not clause.learned:
+                out.add_clause(clause.to_ints())
+        return out
 
 
 def parse_dimacs(text: str) -> Formula:

@@ -17,7 +17,6 @@ class Propagator:
     def __init__(self, formula, state, mode="lscb", stats=None, blockers=False):
         self.formula = formula
         self.state = state
-        self.mode = mode
         self.lazy_mode = mode == "lscb"
         self.blockers = blockers
         self.stats = stats
@@ -55,7 +54,12 @@ class Propagator:
     # -- replacement search --------------------------------------------------
 
     def _search_idx(self, clause, c1, c2):
-        """Index of the replacement candidate for watch c1 (see search_replacement)."""
+        """Index of the candidate literal to take over the falsified watch c1.
+
+        The candidate is either a literal not falsified by the current trail,
+        or, when the clause minus c2 is fully falsified, a literal of maximal
+        level in it (possibly c1 itself when no other attains the maximum).
+        """
         lits = clause.lits
         val = self.state.val
         n = len(lits)
@@ -88,15 +92,6 @@ class Propagator:
         if best_i < 0:
             return clause.w0 if lits[clause.w0] == c1 else clause.w1
         return best_i
-
-    def search_replacement(self, clause, c1, c2):
-        """Candidate literal to take over the falsified watch c1.
-
-        Returns either a literal not falsified by the current trail, or,
-        when the clause minus c2 is fully falsified, a literal of maximal
-        level in it (possibly c1 itself when no other attains the maximum).
-        """
-        return clause.lits[self._search_idx(clause, c1, c2)]
 
     # -- propagation ---------------------------------------------------------
 

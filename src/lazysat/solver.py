@@ -9,13 +9,13 @@ randomness enters the search.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import checker
 from .analyze import analyze as run_analysis
 from .analyze import minimize as minimize_clause
 from .backtrack import backtrack as run_backtrack
-from .formula import Formula, lit_to_int
+from .formula import Clause, Formula, lit_to_int
 from .propagate import Propagator
 from .state import FALSE, TRUE, UNDEF, TrailState
 
@@ -38,7 +38,6 @@ class SolverConfig:
     vsids_decay: float = 0.95
     agility_decay: float = 0.9999
     agility_limit: float = 0.20
-    seed: int = 0
     check_level: str = "off"
 
     def __post_init__(self):
@@ -66,18 +65,12 @@ class Stats:
     mli_detected: int = 0
     restarts: int = 0
 
-    FIELDS = (
-        "propagations",
-        "decisions",
-        "conflicts",
-        "learned",
-        "reimplications",
-        "mli_detected",
-        "restarts",
-    )
-
     def as_dict(self):
         return {name: getattr(self, name) for name in self.FIELDS}
+
+
+# Counter names in declaration order: the column order of every stats output.
+Stats.FIELDS = tuple(f.name for f in fields(Stats))
 
 
 @dataclass
@@ -118,11 +111,8 @@ class Solver:
         self.agility = 1.0
         self.violations = Counter()  # invariant id -> observed count at checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
-        self.bump_log = []  # (kind, payload) replay log for activity auditing
         self._solved = False
         self._fine = None
-        self.last_episode_mid_chain = False
-        self.last_episode_lazy = False
         self.verdict = None
         if self.cfg.restarts == "agility":
             self.state.on_assign = self._assign_hook
@@ -174,14 +164,11 @@ class Solver:
             activity[v] += inc
             if activity[v] > VSIDS_RESCALE:
                 rescaled = True
-        self.bump_log.append(("bump", sorted({x >> 1 for x in lits})))
         if rescaled:
             for v in range(1, self.formula.num_vars + 1):
                 activity[v] *= 1.0 / VSIDS_RESCALE
             self.var_inc *= 1.0 / VSIDS_RESCALE
-            self.bump_log.append(("rescale", None))
         self.var_inc /= self.cfg.vsids_decay
-        self.bump_log.append(("decay", None))
 
     def maybe_restart(self):
         """Restart (backtrack to the root) when the agility average sinks
@@ -316,24 +303,19 @@ class Solver:
         cfg = self.cfg
         st = self.state
         stats = self.stats
-        episode_mid_chain = False
-        episode_lazy = False
-        rounds = 0
         while True:
             stats.conflicts += 1
-            rounds += 1
             self._emit(
                 {
                     "kind": "conflict",
-                    "clause": conflict.index if hasattr(conflict, "index") else None,
+                    # None for a re-falsified learned clause (a literal list)
+                    "clause": conflict.index if isinstance(conflict, Clause) else None,
                     "level": st.decision_level(),
                 }
             )
             learned = run_analysis(st, conflict, cfg.analyze)
             for pivot, kind in learned.steps:
                 self._emit({"kind": "resolve", "pivot": lit_to_int(pivot), "reason": kind})
-            episode_mid_chain = episode_mid_chain or learned.mid_chain_lazy
-            episode_lazy = episode_lazy or any(kind == "lazy" for _, kind in learned.steps)
             pre = learned
             if cfg.minimize:
                 learned = minimize_clause(st, learned)
@@ -355,8 +337,6 @@ class Solver:
                 continue
             self.install_learned(learned)
             self._checkpoint()
-            self.last_episode_mid_chain = episode_mid_chain
-            self.last_episode_lazy = episode_lazy or rounds > 1
             return sorted(lit_to_int(x) for x in learned.lits)
 
     def _model(self):

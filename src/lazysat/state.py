@@ -49,13 +49,6 @@ class TrailState:
     def decision_level(self):
         return len(self.decisions)
 
-    def in_tau(self, lit):
-        """True when lit itself sits in the propagated prefix."""
-        return self.val[lit] == TRUE and self.pos[lit >> 1] < self.head
-
-    def falsified_in_tau(self, lit):
-        return self.val[lit] == FALSE and self.pos[lit >> 1] < self.head
-
     def lazy(self, lit):
         """The stored MLI clause for lit, or None; only the satisfied polarity has one."""
         if self.val[lit] == TRUE:
@@ -104,8 +97,11 @@ class TrailState:
         if self.trace is not None:
             self.trace({"kind": "decide", "lit": lit_to_int(lit), "level": len(self.decisions)})
 
-    def enqueue_implied(self, lit, reason, lvl):
-        """Append an implied literal with its reason clause at the given level."""
+    def enqueue_implied(self, lit, reason, lvl, kind="imply"):
+        """Append an implied literal with its reason clause at the given level.
+
+        ``kind`` names the trace event: backtracking passes ``"reimply"``.
+        """
         if self.checked:
             assert self.val[lit] == UNDEF, "implying an assigned variable"
             assert lit in reason.lits, "reason does not contain the implied literal"
@@ -115,7 +111,7 @@ class TrailState:
         self._assign(lit, lvl, reason)
         if self.trace is not None:
             self.trace(
-                {"kind": "imply", "lit": lit_to_int(lit), "level": lvl, "clause": reason.index}
+                {"kind": kind, "lit": lit_to_int(lit), "level": lvl, "clause": reason.index}
             )
 
     def pop_next(self):
@@ -126,9 +122,6 @@ class TrailState:
         if self.trace is not None:
             self.trace({"kind": "pop", "lit": lit_to_int(lit)})
         return lit
-
-    def peek_next(self):
-        return self.trail[self.head] if self.head < len(self.trail) else None
 
     def set_lazy(self, lit, clause):
         """Record a new or improved missed lower implication for lit."""

@@ -12,12 +12,10 @@ import os
 import random
 
 from .analyze import analyze as run_analysis
-from . import solver as solver_mod
 from .backtrack import backtrack
+from .checker import state_hash
 from .formula import Formula, lit_from_int, parse_dimacs
-from .propagate import Propagator
-from .solver import Stats
-from .state import TrailState
+from .solver import Solver, SolverConfig, Verdict
 
 # SATLIB uniform random 3-SAT family sizes (clauses per variable count).
 SATLIB_COUNTS = {
@@ -204,16 +202,22 @@ def load_dimacs_dir(path):
 
 
 class Rig:
-    """Hand-driven solver core for scripted replays and unit tests."""
+    """Hand-driven solver core for scripted replays and unit tests.
+
+    Wraps a real :class:`Solver` whose main loop never runs: the script
+    drives its trail, propagator and installation step directly.  The
+    coarse check level therefore only turns on the trail's contract checks.
+    """
 
     def __init__(self, formula, mode="lscb", checked=True, trace=None):
-        self.formula = formula
+        cfg = SolverConfig(mode=mode, cb_threshold=1, check_level="coarse" if checked else "off")
+        self.solver = Solver(formula, cfg, trace=trace)
         self.mode = mode
-        self.stats = Stats()
-        self.state = TrailState(formula.num_vars, checked=checked, trace=trace)
-        self.prop = Propagator(formula, self.state, mode, self.stats)
+        self.formula = formula
+        self.state = self.solver.state
+        self.prop = self.solver.prop
+        self.stats = self.solver.stats
         self.prop.init_watches()
-        self.cfg = solver_mod.SolverConfig(mode=mode, cb_threshold=1)
 
     def decide(self, n):
         self.state.enqueue_decision(lit_from_int(n))
@@ -232,9 +236,7 @@ class Rig:
         return run_analysis(self.state, conflict, strategy)
 
     def install(self, learned):
-        # Reuses the solver's installation logic without running its loop.
-        shim = _InstallShim(self)
-        return solver_mod.Solver.install_learned(shim, learned)
+        return self.solver.install_learned(learned)
 
     def snapshot(self):
         st = self.state
@@ -247,22 +249,6 @@ class Rig:
             ],
             "head": st.head,
         }
-
-
-class _InstallShim:
-    """Duck-typed stand-in so Rig can borrow Solver.install_learned."""
-
-    def __init__(self, rig):
-        self.state = rig.state
-        self.formula = rig.formula
-        self.prop = rig.prop
-        self.stats = rig.stats
-        self.trace = None
-
-    def _emit(self, event):
-        pass
-
-    _second_watch_lit = solver_mod.Solver._second_watch_lit
 
 
 def force_watch_order(prop, lit_int, clause_indices):
@@ -391,16 +377,19 @@ class LockstepRunner:
     """
 
     def __init__(self, formula, vsids_decay=0.95):
-        from .cli import formula_copy
-        from .checker import state_hash
-
-        self._state_hash = state_hash
         self.solvers = []
+        self._episode_lazy = False  # analysis resolved on a lazy reason this episode
         for strategy in (1, 2):
-            cfg = solver_mod.SolverConfig(
+            cfg = SolverConfig(
                 mode="lscb", analyze=strategy, cb_threshold=1, vsids_decay=vsids_decay
             )
-            self.solvers.append(solver_mod.Solver(formula_copy(formula), cfg))
+            solver = Solver(formula.copy(), cfg)
+            solver.on_learn = self._on_learn
+            self.solvers.append(solver)
+
+    def _on_learn(self, solver, pre, post):
+        if any(kind == "lazy" for _, kind in pre.steps):
+            self._episode_lazy = True
 
     def _machine_hash(self, solver):
         # the whole deterministic machine: trail state, clauses, and the
@@ -408,22 +397,28 @@ class LockstepRunner:
         # sends later decisions elsewhere even when the trails agree)
         return hash(
             (
-                self._state_hash(solver.state, solver.formula),
+                state_hash(solver.state, solver.formula),
                 tuple(solver.activity),
                 solver.var_inc,
             )
         )
 
     def _next_episode(self, solver):
-        """Run until the next conflict episode completes; returns its outcome."""
+        """Run until the next conflict episode completes.
+
+        Returns (kind, installed clause, conflicts, lazy engaged).  An
+        episode of more than one conflict ran the re-conflict loop, which
+        counts as lazy engagement.
+        """
+        self._episode_lazy = False
         while True:
             kind, payload = solver.step()
             if kind in ("sat", "unsat"):
-                solver.verdict = solver_mod.Verdict(kind == "sat", payload)
+                solver.verdict = Verdict(kind == "sat", payload)
                 return (kind, None, 0, False)
             if kind == "learn":
                 installed, conflicts = payload
-                return ("learn", installed, conflicts, solver.last_episode_mid_chain)
+                return ("learn", installed, conflicts, self._episode_lazy or conflicts > 1)
 
     def run(self):
         s1, s2 = self.solvers
@@ -441,8 +436,8 @@ class LockstepRunner:
             out["verdicts"] = (v1.sat, v2.sat)
             return out
         while True:
-            kind1, installed1, conf1, mid1 = self._next_episode(s1)
-            kind2, installed2, conf2, mid2 = self._next_episode(s2)
+            kind1, installed1, conf1, lazy1 = self._next_episode(s1)
+            kind2, installed2, conf2, lazy2 = self._next_episode(s2)
             if kind1 != "learn" or kind2 != "learn":
                 sat1 = kind1 == "sat" if kind1 != "learn" else None
                 sat2 = kind2 == "sat" if kind2 != "learn" else None
@@ -458,8 +453,7 @@ class LockstepRunner:
             if conf1 < conf2:
                 out["mismatches"].append(("conflicts", conf1, conf2))
             if installed1 != installed2:
-                lazy_engaged = s1.last_episode_lazy or s2.last_episode_lazy
-                if lazy_engaged:
+                if lazy1 or lazy2:
                     # Lazy reasons drove the two strategies through different
                     # (individually sound) resolutions; the machines have
                     # diverged, so later conflicts no longer correspond.
@@ -476,7 +470,7 @@ class LockstepRunner:
                 while True:
                     kind, _ = solver.step()
                     if kind in ("sat", "unsat"):
-                        solver.verdict = solver_mod.Verdict(kind == "sat")
+                        solver.verdict = Verdict(kind == "sat")
                         break
         out["total_conflicts"] = (s1.stats.conflicts, s2.stats.conflicts)
         return out

@@ -9,7 +9,7 @@ import statistics
 
 import lazysat.solver as solver_module
 from lazysat.checker import check
-from lazysat.cli import formula_copy, render_bench_csv
+from lazysat.cli import render_bench_csv
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import FALSE
 from lazysat.testkit import (
@@ -28,6 +28,9 @@ MATRIX_SIZES = ((10, 50), (12, 50), (14, 50), (16, 50))
 EQUIV_SIZES = ((14, 200), (16, 200), (20, 100))
 TREND_VARS, TREND_CLAUSES, TREND_COUNT = 50, 218, 300
 MODES = ("ncb", "wcb", "rscb", "lscb")
+# SHA-256 of the determinism test's bench CSV (4176 bytes); a change to the
+# search must update it openly.
+BENCH_CSV_SHA256 = "b34c515d3f97bbd7b268cea3e77bc1360d39ccf8645ca12103284b5f756748ef"
 
 
 def _report(name, ok, detail=""):
@@ -47,7 +50,7 @@ def test_oracle_agreement():
             for mode in MODES:
                 for strategy in (1, 2):
                     cfg = SolverConfig(mode=mode, analyze=strategy, cb_threshold=1)
-                    verdict = Solver(formula_copy(f), cfg).solve()
+                    verdict = Solver(f.copy(), cfg).solve()
                     checked += 1
                     if verdict.sat != expect:
                         disagreements += 1
@@ -91,7 +94,7 @@ def test_invariant_matrix():
                 cfg = SolverConfig(
                     mode=mode, analyze=2, cb_threshold=1, check_level="fine"
                 )
-                s = Solver(formula_copy(f), cfg)
+                s = Solver(f.copy(), cfg)
                 s.solve()
                 for inv in zero_cells[mode]:
                     if s.violations.get(inv, 0):
@@ -202,14 +205,14 @@ def test_propagation_count_trend():
         f = random_3sat(TREND_VARS, TREND_CLAUSES, seed)
         seed += 1
         probe = Solver(
-            formula_copy(f), SolverConfig(mode="ncb", analyze=2, cb_threshold=1)
+            f.copy(), SolverConfig(mode="ncb", analyze=2, cb_threshold=1)
         )
         if probe.solve().sat:
             continue
         count += 1
         for mode in MODES:
             cfg = SolverConfig(mode=mode, analyze=2, cb_threshold=1, restarts="off")
-            s = Solver(formula_copy(f), cfg)
+            s = Solver(f.copy(), cfg)
             verdict = s.solve()
             assert not verdict.sat
             per[mode].append(s.stats.propagations)
@@ -268,7 +271,7 @@ def test_learned_clause_soundness():
         f = random_3sat(20, 91, 40_000 + seed)
         seed += 1
         cfg = SolverConfig(mode="lscb", analyze=2, cb_threshold=1, minimize=True)
-        s = Solver(formula_copy(f), cfg)
+        s = Solver(f.copy(), cfg)
         s._original = f
         s.on_learn = make_hook(s)
         s.solve()
@@ -312,7 +315,7 @@ def test_topological_order_after_reimplication():
             for i in range(count):
                 f = random_3sat(n, m, 50_000 + i)
                 cfg = SolverConfig(mode="lscb", analyze=2, cb_threshold=1)
-                s = Solver(formula_copy(f), cfg)
+                s = Solver(f.copy(), cfg)
                 current["formula"] = s.formula
                 s.solve()
     finally:
@@ -327,7 +330,9 @@ def test_topological_order_after_reimplication():
 
 
 def test_determinism_byte_identical_csv():
-    """The same benchmark invocation twice produces byte-identical CSV."""
+    """The same benchmark invocation twice produces byte-identical CSV,
+    and that CSV is pinned by its digest across versions."""
+    import hashlib
     from types import SimpleNamespace
 
     from lazysat.cli import bench_rows
@@ -347,10 +352,13 @@ def test_determinism_byte_identical_csv():
         ]
         rows = bench_rows(instances, list(MODES), args)
         outputs.append(render_bench_csv(rows).encode())
-    ok = outputs[0] == outputs[1]
+    digest = hashlib.sha256(outputs[0]).hexdigest()
+    ok = outputs[0] == outputs[1] and digest == BENCH_CSV_SHA256
     _report(
         "determinism",
         ok,
-        " (%d bytes, %d rows)" % (len(outputs[0]), outputs[0].count(b"\n") - 1),
+        " (%d bytes, %d rows, sha256 %s)"
+        % (len(outputs[0]), outputs[0].count(b"\n") - 1, digest),
     )
     assert outputs[0] == outputs[1]
+    assert digest == BENCH_CSV_SHA256

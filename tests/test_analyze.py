@@ -1,8 +1,7 @@
 import random
 
-from lazysat.analyze import analyze, clause_level, count_at_level, minimize, resolve, second_level
+from lazysat.analyze import analyze, minimize, resolve
 from lazysat.backtrack import backtrack
-from lazysat.cli import formula_copy
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import FALSE, TrailState
@@ -45,35 +44,6 @@ def test_resolve_matches_set_oracle():
         got = resolve(lits(*d), lits(*c), lit(pivot_var))
         want = (d - {-pivot_var}) | (c - {pivot_var})
         assert set(ints(got)) == want
-
-
-def test_level_utilities_worked_example():
-    st = TrailState(6)
-    st.enqueue_decision(lit(6))  # level 1
-    f = Formula(6)
-    r = f.add_clause([-6, -4])
-    st.enqueue_implied(lit(-4), r, 1)
-    st.enqueue_decision(lit(-3))  # level 2
-    d = lits(3, 6, -4)  # falsified at levels 2, 1, 1
-    assert clause_level(st, d) == 2
-    assert second_level(st, d) == 1
-    assert count_at_level(st, d, 2) == 1
-    assert clause_level(st, []) == 0
-
-
-def test_level_utilities_match_full_scan():
-    rng = random.Random(17)
-    st = TrailState(10)
-    for v in range(1, 11):
-        st.enqueue_decision(lit(v if rng.random() < 0.5 else -v))
-    for _ in range(100):
-        d = lits(*{rng.choice([-1, 1]) * rng.randint(1, 10) for _ in range(rng.randint(1, 6))})
-        levels = sorted((st.level[x >> 1] for x in d), reverse=True)
-        assert clause_level(st, d) == (levels[0] if levels else 0)
-        distinct = sorted(set(levels), reverse=True)
-        assert second_level(st, d) == (distinct[1] if len(distinct) > 1 else 0)
-        for lv in set(levels):
-            assert count_at_level(st, d, lv) == levels.count(lv)
 
 
 def test_analyze_s2_lazy_chain():
@@ -150,6 +120,27 @@ def test_minimize_fixpoint_when_nothing_removable():
     assert minimize(st, learned) is learned
 
 
+def test_minimize_long_implication_chain():
+    # x_i or not x_(i+1) chains 3000 implications below the first decision;
+    # the two ternary clauses then conflict, and minimizing the learned
+    # clause walks the whole chain, once a recursion depth per link.
+    n = 3000
+    f = Formula(n + 2)
+    for i in range(1, n):
+        f.add_clause([i, -(i + 1)])
+    f.add_clause([n, n + 1, n + 2])
+    f.add_clause([n, n + 1, -(n + 2)])
+    for mode in ("ncb", "lscb"):
+        s = Solver(f.copy(), SolverConfig(mode=mode, minimize=True))
+        assert s.solve().sat
+        assert s.stats.conflicts == 1
+        # nothing is removable (the chain ends in a decision), so the search
+        # is the one without minimization
+        plain = Solver(f.copy(), SolverConfig(mode=mode))
+        plain.solve()
+        assert s.stats == plain.stats
+
+
 def test_minimized_clauses_stay_falsified_and_entailed():
     # run with minimization on and oracle-check every learned clause
     checked = [0]
@@ -166,7 +157,7 @@ def test_minimized_clauses_stay_falsified_and_entailed():
     for seed in range(6):
         f = random_3sat(14, 60, seed)
         cfg = SolverConfig(mode="lscb", cb_threshold=1, minimize=True, check_level="coarse")
-        s = Solver(formula_copy(f), cfg)
+        s = Solver(f.copy(), cfg)
         s.on_learn = on_learn
         s.solve()
         # entailment against the original formula, via the refutation oracle
@@ -205,7 +196,7 @@ def test_pivot_selection_matches_trail_scan():
     try:
         for seed in range(6):
             f = random_3sat(14, 60, seed)
-            s = Solver(formula_copy(f), SolverConfig(mode="lscb", cb_threshold=1))
+            s = Solver(f.copy(), SolverConfig(mode="lscb", cb_threshold=1))
             current_state["state"] = s.state
             s.solve()
     finally:

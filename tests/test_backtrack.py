@@ -4,7 +4,6 @@ import pytest
 
 import lazysat.solver as solver_module
 from lazysat.backtrack import backtrack
-from lazysat.cli import formula_copy
 from lazysat.formula import lit_from_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import UNDEF
@@ -75,7 +74,7 @@ def _run_with_backtrack_spy(mode, seed, spy, n=16):
     try:
         f = random_3sat(n, satlib_clause_count(n), seed)
         cfg = SolverConfig(mode=mode, analyze=2, cb_threshold=1, check_level="coarse")
-        s = Solver(formula_copy(f), cfg)
+        s = Solver(f.copy(), cfg)
         s.solve()
         return s
     finally:
@@ -87,7 +86,7 @@ def test_invariants_2_and_3_hold_after_backtracks():
         for seed in range(8):
             f = random_3sat(16, satlib_clause_count(16), seed)
             cfg = SolverConfig(mode=mode, analyze=2, cb_threshold=1, check_level="coarse")
-            s = Solver(formula_copy(f), cfg)
+            s = Solver(f.copy(), cfg)
             s.solve()
             assert s.violations.get(2, 0) == 0
             assert s.violations.get(3, 0) == 0

@@ -1,5 +1,4 @@
 from lazysat.checker import ALL_INVARIANTS, check, check_ids, state_hash
-from lazysat.cli import formula_copy
 from lazysat.formula import Formula, lit_from_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import TrailState
@@ -62,7 +61,7 @@ def test_inv5_violations_contain_inv7_violations():
     for mode in ("wcb", "rscb", "lscb"):
         for seed in range(6):
             f = random_3sat(14, 60, seed)
-            s = Solver(formula_copy(f), SolverConfig(mode=mode, cb_threshold=1))
+            s = Solver(f.copy(), SolverConfig(mode=mode, cb_threshold=1))
             s.solve()
             v5 = {(v.subject) for v in check(s.state, s.formula, 5)}
             v7 = {(v.subject) for v in check(s.state, s.formula, 7)}
@@ -73,7 +72,7 @@ def test_inv4_implied_by_inv5_and_inv7():
     for mode in ("wcb", "lscb"):
         for seed in range(6):
             f = random_3sat(14, 60, seed)
-            s = Solver(formula_copy(f), SolverConfig(mode=mode, cb_threshold=1))
+            s = Solver(f.copy(), SolverConfig(mode=mode, cb_threshold=1))
             s.solve()
             v4 = {v.subject for v in check(s.state, s.formula, 4)}
             v5 = {v.subject for v in check(s.state, s.formula, 5)}
@@ -85,7 +84,7 @@ def test_inv4_implied_by_inv5_and_inv7():
 def test_random_ncb_soak_all_checkpoints_clean():
     for seed in range(30):
         f = random_3sat(12, 51, seed)
-        s = Solver(formula_copy(f), SolverConfig(mode="ncb", check_level="fine"))
+        s = Solver(f.copy(), SolverConfig(mode="ncb", check_level="fine"))
         s.solve()
         assert not s.violations, s.violations
 
@@ -104,7 +103,7 @@ def test_inv6_catches_stale_cache():
 
 def test_inv8_checked_only_with_blockers():
     f = random_3sat(12, 51, 2)
-    s = Solver(formula_copy(f), SolverConfig(mode="lscb", cb_threshold=1, blockers=True))
+    s = Solver(f.copy(), SolverConfig(mode="lscb", cb_threshold=1, blockers=True))
     s.solve()
     assert check_ids(s.state, s.formula, (8,), blockers=True) == []
     # without the flag the invariant is reported as not applicable

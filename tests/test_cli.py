@@ -65,19 +65,32 @@ def test_solve_stats_csv(tmp_path, capsys):
 
 
 def test_trace_jsonl_schema(tmp_path, capsys):
-    path = write_cnf(tmp_path / "s1.cnf", s1_formula())
-    trace_path = tmp_path / "trace.jsonl"
-    main(["solve", path, "--mode", "lscb", "--trace", str(trace_path)])
-    capsys.readouterr()
-    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
-    assert events, "trace must not be empty"
-    kinds = {e["kind"] for e in events}
-    assert "decide" in kinds and "result" in kinds
-    decide = next(e for e in events if e["kind"] == "decide")
-    assert set(decide) == {"kind", "lit", "level"}
-    for e in events:
-        if e["kind"] == "reimply":
-            assert "clause" in e
+    # The second input re-falsifies a learned clause after lazy
+    # reimplication; its conflict event has no clause index.
+    cases = (
+        (s1_formula(), ["--mode", "lscb"], False),
+        (
+            random_3sat(30, 128, 1001),
+            ["--mode", "lscb", "--analyze", "1", "--cb-threshold", "1"],
+            True,
+        ),
+    )
+    for i, (formula, flags, refalsified) in enumerate(cases):
+        path = write_cnf(tmp_path / ("in%d.cnf" % i), formula)
+        trace_path = tmp_path / ("trace%d.jsonl" % i)
+        main(["solve", path] + flags + ["--trace", str(trace_path)])
+        capsys.readouterr()
+        events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        assert events, "trace must not be empty"
+        kinds = {e["kind"] for e in events}
+        assert "decide" in kinds and "result" in kinds
+        decide = next(e for e in events if e["kind"] == "decide")
+        assert set(decide) == {"kind", "lit", "level"}
+        for e in events:
+            if e["kind"] == "reimply":
+                assert "clause" in e
+        conflicts = [e for e in events if e["kind"] == "conflict"]
+        assert any(e["clause"] is None for e in conflicts) == refalsified
 
 
 def test_gen_writes_readable_instances(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import random
 
-from lazysat.cli import formula_copy
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.propagate import Propagator
 from lazysat.solver import Solver, SolverConfig, Stats
@@ -22,15 +21,15 @@ def make_rig(num_vars, clause_ints, mode="lscb"):
     return f, st, prop
 
 
-def test_search_replacement_case_a_unassigned():
+def test_search_idx_case_a_unassigned():
     f, st, prop = make_rig(3, [[1, 2, 3]])
     c = f.clauses[0]
     st.enqueue_decision(lit(-1))
-    r = prop.search_replacement(c, lit(1), lit(2))
+    r = c.lits[prop._search_idx(c, lit(1), lit(2))]
     assert r == lit(3)
 
 
-def test_search_replacement_case_b_total_falsification():
+def test_search_idx_case_b_total_falsification():
     # watches 2 and 3; everything but the satisfied watch is falsified at
     # level 1, and the max-level tie breaks away from the falsified watch
     f, st, prop = make_rig(6, [[2, 3, -5], [-5, -3]])
@@ -38,12 +37,12 @@ def test_search_replacement_case_b_total_falsification():
     st.enqueue_decision(lit(5))  # falsifies -5 at level 1
     st.enqueue_implied(lit(-3), f.clauses[1], 1)  # falsifies 3 at level 1
     st.enqueue_decision(lit(2))  # satisfies the first watch at level 2
-    r = prop.search_replacement(c, lit(3), lit(2))
+    r = c.lits[prop._search_idx(c, lit(3), lit(2))]
     assert r == lit(-5)
     assert st.lit_level(r) == 1
 
 
-def test_search_replacement_matches_full_scan_on_falsified_clauses():
+def test_search_idx_matches_full_scan_on_falsified_clauses():
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(3, 8)
@@ -61,7 +60,7 @@ def test_search_replacement_matches_full_scan_on_falsified_clauses():
         c1, c2 = c.lits[c.w0], c.lits[c.w1]
         prop = Propagator(f, st, "lscb", Stats())
         prop.init_watches()
-        r = prop.search_replacement(c, c1, c2)
+        r = c.lits[prop._search_idx(c, c1, c2)]
         rest = [x for x in c.lits if x != c2]
         want = max(st.level[x >> 1] for x in rest)
         assert st.level[r >> 1] == want
@@ -75,7 +74,7 @@ def test_propagate_literal_records_mli_and_moves_watch():
     assert out["lazy_v2"] is c3
     assert out["lazy_level_v2"] == 1
     # its falsified watch moved off the implied-late literal
-    watched = {lit_to_int(x) for x in c3.watched()}
+    watched = {lit_to_int(c3.lits[c3.w0]), lit_to_int(c3.lits[c3.w1])}
     assert watched == {2, -5}
     assert rig.stats.mli_detected == 1
 
@@ -150,7 +149,7 @@ def test_deterministic_stats_for_fixed_seed_and_config():
         f = random_3sat(20, 91, 9)
         runs = []
         for _ in range(2):
-            s = Solver(formula_copy(f), SolverConfig(mode=mode, cb_threshold=1))
+            s = Solver(f.copy(), SolverConfig(mode=mode, cb_threshold=1))
             v = s.solve()
             runs.append((v.sat, s.stats.as_dict()))
         assert runs[0] == runs[1]

@@ -1,7 +1,6 @@
 import pytest
 
 from lazysat.analyze import LearnedClause
-from lazysat.cli import formula_copy
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig, choose_backtrack_level, solve_formula
 from lazysat.testkit import brute_force, random_3sat, s1_formula, satlib_clause_count
@@ -103,29 +102,29 @@ def test_activity_replay_log_reproduces_ordering():
     total_conflicts = 0
     for seed in range(5, 17):
         f = random_3sat(20, 91, seed)
-        s = Solver(formula_copy(f), cfg(mode="lscb", cb_threshold=1))
+        s = Solver(f.copy(), cfg(mode="lscb", cb_threshold=1))
+        bumped = []  # post-minimize literals; the solver bumps them right after the hook
+        s.on_learn = lambda solver, pre, post: bumped.append(list(post.lits))
         s.solve()
         total_conflicts += s.stats.conflicts
-        # replay the bump/decay log from scratch with the same arithmetic
+        # replay bump, rescale and decay from scratch with the same arithmetic
         act = [0.0] * (f.num_vars + 1)
         inc = 1.0
-        for kind, payload in s.bump_log:
-            if kind == "bump":
-                for v in payload:
-                    act[v] += inc
-            elif kind == "decay":
-                inc /= s.cfg.vsids_decay
-            elif kind == "rescale":
-                act = [a * 1e-100 for a in act]
-                inc *= 1e-100
+        for lits in bumped:
+            for x in lits:
+                act[x >> 1] += inc
+            if any(act[x >> 1] > 1e100 for x in lits):
+                act = [a * (1.0 / 1e100) for a in act]
+                inc *= 1.0 / 1e100
+            inc /= s.cfg.vsids_decay
         # identical ordering (and in fact identical values)
-        assert act == s.activity[: len(act)]
+        assert act == s.activity
     assert total_conflicts >= 100
 
 
 def test_restarts_off_never_restarts():
     f = random_3sat(20, 91, 1)
-    s = Solver(formula_copy(f), cfg(restarts="off"))
+    s = Solver(f.copy(), cfg(restarts="off"))
     s.solve()
     assert s.stats.restarts == 0
 
@@ -207,7 +206,7 @@ def test_verdicts_match_oracle_all_modes_and_strategies():
             for mode in ("ncb", "wcb", "rscb", "lscb"):
                 for strat in (1, 2):
                     s = Solver(
-                        formula_copy(f),
+                        f.copy(),
                         cfg(mode=mode, analyze=strat, cb_threshold=1),
                     )
                     v = s.solve()
@@ -232,7 +231,7 @@ def test_mode_invariant_matrix_small_soak():
     for mode, zero_ids in expectations.items():
         for seed in range(10):
             f = random_3sat(12, 51, seed)
-            s = Solver(formula_copy(f), cfg(mode=mode, cb_threshold=1, check_level="fine"))
+            s = Solver(f.copy(), cfg(mode=mode, cb_threshold=1, check_level="fine"))
             s.solve()
             for inv in zero_ids:
                 assert s.violations.get(inv, 0) == 0, (mode, inv, seed)
@@ -247,7 +246,7 @@ def test_blockers_variant_keeps_verdicts_and_inv8():
     for seed in range(10):
         f = random_3sat(12, 51, seed)
         expect = brute_force(f)
-        s = Solver(formula_copy(f), cfg(mode="lscb", cb_threshold=1, blockers=True))
+        s = Solver(f.copy(), cfg(mode="lscb", cb_threshold=1, blockers=True))
         v = s.solve()
         assert v.sat == expect
         if v.sat:  # an unsatisfiable run ends in a (legitimate) conflict state
@@ -256,8 +255,8 @@ def test_blockers_variant_keeps_verdicts_and_inv8():
 
 def test_stats_deterministic_and_monotone():
     f = random_3sat(16, 68, 4)
-    a = Solver(formula_copy(f), cfg(mode="lscb", cb_threshold=1))
-    b = Solver(formula_copy(f), cfg(mode="lscb", cb_threshold=1))
+    a = Solver(f.copy(), cfg(mode="lscb", cb_threshold=1))
+    b = Solver(f.copy(), cfg(mode="lscb", cb_threshold=1))
     va, vb = a.solve(), b.solve()
     assert va.sat == vb.sat
     assert a.stats.as_dict() == b.stats.as_dict()
@@ -288,7 +287,7 @@ def test_flag_combination_soak_against_oracle():
                     agility_limit=0.3,
                     check_level="coarse",
                 )
-                s = Solver(formula_copy(f), c)
+                s = Solver(f.copy(), c)
                 assert s.solve().sat == expect, (n, seed, mode, minimize, blockers, restarts)
                 assert s.violations.get(2, 0) == 0
                 assert s.violations.get(3, 0) == 0
@@ -305,7 +304,7 @@ def test_solver_add_clause_before_solve():
 def test_trace_stream_covers_main_events():
     events = []
     f = random_3sat(10, 43, 6)
-    s = Solver(formula_copy(f), cfg(mode="lscb", cb_threshold=1), trace=events.append)
+    s = Solver(f.copy(), cfg(mode="lscb", cb_threshold=1), trace=events.append)
     s.solve()
     kinds = {e["kind"] for e in events}
     assert {"decide", "pop", "result"} <= kinds

@@ -60,11 +60,11 @@ def test_pop_next_moves_head():
     st = TrailState(3)
     st.enqueue_decision(lit(1))
     st.enqueue_decision(lit(2))
-    assert st.peek_next() == lit(1)
+    assert st.trail[st.head] == lit(1)
     assert st.pop_next() == lit(1)
     assert st.head == 1
-    assert st.in_tau(lit(1))
-    assert not st.in_tau(lit(2))
+    assert st.pos[1] < st.head
+    assert not st.pos[2] < st.head
     assert st.pop_next() == lit(2)
     assert st.head == len(st.trail)
     with pytest.raises(AssertionError):

@@ -1,4 +1,3 @@
-from lazysat.cli import formula_copy
 from lazysat.formula import Formula, write_dimacs
 from lazysat.solver import Solver, SolverConfig
 from lazysat.testkit import (
@@ -152,7 +151,7 @@ def test_trace_replay_reconstructs_final_trail():
             events = []
             f = random_3sat(20, 91, seed)
             s = Solver(
-                formula_copy(f), SolverConfig(mode=mode, cb_threshold=1), trace=events.append
+                f.copy(), SolverConfig(mode=mode, cb_threshold=1), trace=events.append
             )
             s.solve()
             reimplications += s.stats.reimplications
