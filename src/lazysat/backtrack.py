@@ -11,9 +11,14 @@ implications:
             every kept literal from there on is repropagated.
 * ``lscb``  stored MLIs whose residual level survives are reimplied at the
             end of the queue, lowest residual level first.
+
+Every mode puts an unassigned variable back into the solver's decision
+order (``state.order``) unless it still has a current entry there.
 """
 
 from __future__ import annotations
+
+from heapq import heappush
 
 from .state import INF, UNDEF
 
@@ -27,6 +32,11 @@ def backtrack(state, d, mode, stats=None):
     val = st.val
     old_level = len(st.decisions)
     old_head = st.head
+    order = st.order
+    if order is not None:
+        heap = order.heap
+        queued = order.queued
+        activity = order.activity
 
     if mode == "rscb":
         head_cut = st.pos[st.decisions[d] >> 1]  # captured before positions shift
@@ -55,6 +65,9 @@ def backtrack(state, d, mode, stats=None):
         level[v] = INF
         st.pos[v] = -1
         st.reason[v] = None
+        if order is not None and not queued[v]:
+            queued[v] = True
+            heappush(heap, (-activity[v], v))
 
     if mode == "ncb" and st.checked:
         assert kept == trail[: len(kept)], "ncb trail removal must be a contiguous suffix"

@@ -117,7 +117,11 @@ def cmd_solve(args):
     except DimacsError as exc:
         print("error: %s: %s" % (args.file, exc), file=sys.stderr)
         return EXIT_ERROR
-    cfg = _config_from(args)
+    try:
+        cfg = _config_from(args)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
     trace_fh = None
     trace = None
     if args.trace:
@@ -165,7 +169,11 @@ def cmd_gen(args):
     m = args.clauses or satlib_clause_count(args.vars)
     for i in range(args.count):
         seed = args.seed + i
-        formula = random_3sat(args.vars, m, seed)
+        try:
+            formula = random_3sat(args.vars, m, seed)
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_ERROR
         name = "rnd3-v%d-c%d-s%d.cnf" % (args.vars, m, seed)
         with open(os.path.join(args.out_dir, name), "w") as fh:
             fh.write(write_dimacs(formula))
@@ -253,17 +261,19 @@ def render_bench_csv(rows):
 
 def cmd_bench(args):
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for mode in modes:
-        if mode not in MODES:
-            print("error: unknown mode %r" % mode, file=sys.stderr)
-            return EXIT_ERROR
     instances = []
-    if args.gen:
-        n, m, count, seed = args.gen
-        for i in range(count):
-            name = "gen-v%d-c%d-s%d" % (n, m, seed + i)
-            instances.append((name, random_3sat(n, m, seed + i), n, m))
-    else:
+    try:
+        for mode in modes:
+            _config_from(args, mode)  # rejects an unknown mode or a bad flag value
+        if args.gen:
+            n, m, count, seed = args.gen
+            for i in range(count):
+                name = "gen-v%d-c%d-s%d" % (n, m, seed + i)
+                instances.append((name, random_3sat(n, m, seed + i), n, m))
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
+    if args.dir is not None:
         try:
             loaded = load_dimacs_dir(args.dir)
         except OSError as exc:

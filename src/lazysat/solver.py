@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
+from heapq import heapify, heappop, heappush
 
 from . import checker
 from .analyze import analyze as run_analysis
@@ -79,6 +80,48 @@ class Verdict:
     model: dict | None = None  # variable -> bool, total on SAT
 
 
+class DecisionOrder:
+    """Unassigned variables by decreasing activity, lowest index on ties.
+
+    A lazy binary heap of ``(-activity, var)`` entries, the VSIDS order
+    heap of Chaff and MiniSat.  Invariant: every unassigned variable has
+    ``queued`` set, and a queued variable has an entry keyed at its current
+    activity.  Other entries are stale: their variable is assigned, or
+    they carry an older, lower activity (activity only grows between
+    rebuilds) and so sort after the variable's current entry.
+
+    The trail state points here so that backtracking can requeue what it
+    unassigns; holding only the activity list, never the solver or the
+    state, keeps that free of reference cycles.
+    """
+
+    __slots__ = ("activity", "heap", "queued", "limit")
+
+    def __init__(self, activity):
+        n = len(activity) - 1
+        self.activity = activity
+        self.heap = [(-0.0, v) for v in range(1, n + 1)]  # all zero: already a heap
+        self.queued = [False] + [True] * n
+        self.limit = 2 * n  # rebuild past this many entries so stale ones cannot pile up
+
+    def push(self, v):
+        self.queued[v] = True
+        heappush(self.heap, (-self.activity[v], v))
+
+    def rebuild(self, val):
+        """One current entry per variable unassigned under ``val``, and nothing else."""
+        activity = self.activity
+        queued = self.queued
+        heap = []
+        for v in range(1, len(activity)):
+            free = val[v << 1] == UNDEF
+            queued[v] = free
+            if free:
+                heap.append((-activity[v], v))
+        heapify(heap)
+        self.heap = heap
+
+
 def choose_backtrack_level(learned, cfg):
     """Destination level for a conflict at learned.level.
 
@@ -95,6 +138,22 @@ def choose_backtrack_level(learned, cfg):
     return learned.second_level
 
 
+class Agility:
+    """Exponential moving average of phase flips on assignment (the trail
+    state's ``on_assign`` callback).  Kept apart from the solver so that the
+    trail state holds no reference back to it."""
+
+    __slots__ = ("value", "decay")
+
+    def __init__(self, decay):
+        self.value = 1.0
+        self.decay = decay
+
+    def __call__(self, lit, flipped):
+        decay = self.decay
+        self.value = self.value * decay + (1.0 - decay) * (1.0 if flipped else 0.0)
+
+
 class Solver:
     def __init__(self, formula: Formula, cfg: SolverConfig | None = None, trace=None):
         self.formula = formula
@@ -107,21 +166,24 @@ class Solver:
             formula, self.state, self.cfg.mode, self.stats, blockers=self.cfg.blockers
         )
         self.activity = [0.0] * (formula.num_vars + 1)
+        self.order = DecisionOrder(self.activity)
+        self.state.order = self.order  # backtracking requeues what it unassigns
         self.var_inc = VSIDS_BUMP
-        self.agility = 1.0
+        self._agility = Agility(self.cfg.agility_decay)
         self.violations = Counter()  # invariant id -> observed count at checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
         self._solved = False
-        self._fine = None
+        self._fine = self.cfg.check_level == "fine"  # check after every pop
         self.verdict = None
         if self.cfg.restarts == "agility":
-            self.state.on_assign = self._assign_hook
+            self.state.on_assign = self._agility
 
     # -- small hooks -------------------------------------------------------
 
-    def _assign_hook(self, lit, flipped):
-        decay = self.cfg.agility_decay
-        self.agility = self.agility * decay + (1.0 - decay) * (1.0 if flipped else 0.0)
+    @property
+    def agility(self):
+        """Current agility average; restarts fire when it sinks below the limit."""
+        return self._agility.value
 
     def _emit(self, event):
         if self.trace is not None:
@@ -141,33 +203,46 @@ class Solver:
     def decide(self):
         """Unassigned literal of maximal activity, lowest index on ties,
         polarity from phase saving (initially negative)."""
-        st = self.state
-        val = st.val
+        order = self.order
+        val = self.state.val
+        if len(order.heap) > order.limit:
+            order.rebuild(val)
+        heap = order.heap
+        queued = order.queued
         activity = self.activity
-        best = -1
-        best_act = -1.0
-        for v in range(1, self.formula.num_vars + 1):
-            if val[v << 1] == UNDEF:
-                a = activity[v]
-                if a > best_act:
-                    best_act = a
-                    best = v
-        assert best > 0, "decide called with every variable assigned"
-        return (best << 1) | st.saved_phase[best]
+        try:
+            # Drop assigned variables off the top; the entry left on top is
+            # current, so the decision stays queued until it is popped.
+            key, v = heap[0]
+            while val[v << 1] != UNDEF:
+                heappop(heap)
+                if key == -activity[v]:
+                    queued[v] = False
+                key, v = heap[0]
+        except IndexError:
+            raise AssertionError("decide called with every variable assigned") from None
+        return (v << 1) | self.state.saved_phase[v]
 
     def _bump_clause(self, lits):
         inc = self.var_inc
         activity = self.activity
+        order = self.order
+        val = self.state.val
         rescaled = False
         for x in lits:
             v = x >> 1
             activity[v] += inc
             if activity[v] > VSIDS_RESCALE:
                 rescaled = True
+            if val[x] == UNDEF:
+                order.push(v)
+            else:
+                order.queued[v] = False  # backtracking requeues it at the new activity
         if rescaled:
             for v in range(1, self.formula.num_vars + 1):
                 activity[v] *= 1.0 / VSIDS_RESCALE
             self.var_inc *= 1.0 / VSIDS_RESCALE
+            order.rebuild(val)
         self.var_inc /= self.cfg.vsids_decay
 
     def maybe_restart(self):
@@ -181,7 +256,7 @@ class Solver:
             return False
         run_backtrack(self.state, 0, self.cfg.mode, self.stats)
         self.stats.restarts += 1
-        self.agility = 1.0
+        self._agility.value = 1.0
         self._emit({"kind": "restart", "count": self.stats.restarts})
         self._checkpoint()
         return True
@@ -266,7 +341,6 @@ class Solver:
                 return Verdict(False)
             if v == UNDEF:
                 st.enqueue_implied(lit, unit, 0)
-        self._fine = self._checkpoint if self.cfg.check_level == "fine" else None
         return None
 
     def step(self):
@@ -276,7 +350,8 @@ class Solver:
         ("restart", None), or ("learn", (installed lits, episode conflicts)).
         """
         st = self.state
-        conflict = self.prop.bcp(on_pop=self._fine)
+        # bound here, not stored: a stored bound method would tie the solver to itself
+        conflict = self.prop.bcp(on_pop=self._checkpoint if self._fine else None)
         if conflict is None:
             self._checkpoint()
             if len(st.trail) == self.formula.num_vars:

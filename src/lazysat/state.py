@@ -35,6 +35,7 @@ class TrailState:
         self.checked = checked
         self.trace = trace
         self.on_assign = None  # callback(lit, flipped) used for agility tracking
+        self.order = None  # the solver's DecisionOrder; backtrack requeues into it
 
     # -- queries ---------------------------------------------------------
 

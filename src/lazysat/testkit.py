@@ -39,7 +39,8 @@ def satlib_clause_count(n):
 
 def random_3sat(n, m, seed):
     """m clauses of 3 distinct, non-complementary literals over n >= 3 variables."""
-    assert n >= 3
+    if n < 3:
+        raise ValueError("random 3-SAT needs at least 3 variables, got %d" % n)
     rng = random.Random(seed)
     formula = Formula(n)
     for _ in range(m):

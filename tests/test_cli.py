@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 
+import lazysat
 from lazysat.cli import main
 from lazysat.formula import parse_dimacs, write_dimacs
 from lazysat.testkit import random_3sat, s1_formula
@@ -154,3 +157,34 @@ def test_bench_from_directory(tmp_path, capsys):
 def test_bench_rejects_unknown_mode(capsys):
     assert main(["bench", "--gen", "10", "43", "1", "0", "--modes", "fast"]) == 1
     capsys.readouterr()
+
+
+def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
+    path = write_cnf(tmp_path / "s1.cnf", s1_formula())
+    out_dir = str(tmp_path / "gen")
+    for argv in (
+        ["solve", path, "--cb-threshold", "0"],
+        ["gen", "--vars", "2", "--out-dir", out_dir],
+        ["bench", "--gen", "2", "5", "1", "0"],
+        ["bench", "--gen", "10", "43", "1", "0", "--cb-threshold", "0"],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err, argv
+        assert captured.out == "", argv
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = write_cnf(tmp_path / "s1.cnf", s1_formula())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lazysat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "lazysat", "solve", path],
+        cwd=str(tmp_path),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 10, done.stderr
+    assert "s SATISFIABLE" in done.stdout

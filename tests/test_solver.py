@@ -1,8 +1,12 @@
+import gc
+import itertools
+
 import pytest
 
 from lazysat.analyze import LearnedClause
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig, choose_backtrack_level, solve_formula
+from lazysat.state import UNDEF
 from lazysat.testkit import brute_force, random_3sat, s1_formula, satlib_clause_count
 
 
@@ -96,6 +100,86 @@ def test_decide_phase_saving_follows_last_assignment():
 
     backtrack(s.state, 0, "lscb")
     assert lit_to_int(s.decide()) == 1  # saved positive phase
+
+
+def _scan_decide(solver):
+    """Reference for Solver.decide: scan every variable for the unassigned one
+    of maximal activity, lowest index on ties."""
+    val = solver.state.val
+    best = -1
+    best_act = -1.0
+    for v in range(1, solver.formula.num_vars + 1):
+        if val[v << 1] == UNDEF and solver.activity[v] > best_act:
+            best_act = solver.activity[v]
+            best = v
+    return (best << 1) | solver.state.saved_phase[best]
+
+
+def test_decide_matches_activity_scan():
+    # vsids_decay -> (instances, agility limit).  Decay 0.5 doubles the bump
+    # each conflict, so the 80-variable runs pass the 1e100 rescale and
+    # rebuild the heap mid-search.  Each limit lets agility restart a few
+    # times; higher ones restart before reaching the next conflict, forever.
+    groups = {
+        0.95: ([random_3sat(30, 128, seed) for seed in range(4)], 0.2),
+        0.5: ([random_3sat(80, 341, seed) for seed in (0, 1)], 0.1),
+    }
+    restarted = 0
+    for mode, restarts, decay in itertools.product(
+        ("ncb", "wcb", "rscb", "lscb"), ("off", "agility"), (0.95, 0.5)
+    ):
+        instances, agility_limit = groups[decay]
+        rescales = 0
+        for f in instances:
+            c = cfg(
+                mode=mode,
+                cb_threshold=1,
+                restarts=restarts,
+                agility_decay=0.95,
+                agility_limit=agility_limit,
+                vsids_decay=decay,
+            )
+            s = Solver(f.copy(), c)
+            n = f.num_vars
+            last_inc = [s.var_inc]
+
+            def checked_decide(s=s, n=n, last_inc=last_inc):
+                nonlocal rescales
+                if s.var_inc < last_inc[0]:
+                    rescales += 1
+                last_inc[0] = s.var_inc
+                got = Solver.decide(s)
+                assert got == _scan_decide(s), (mode, restarts, decay)
+                assert len(s.order.heap) <= 2 * n
+                return got
+
+            s.decide = checked_decide
+            s.solve()
+            assert s.stats.decisions > 0
+            restarted += s.stats.restarts
+        if decay == 0.5:
+            assert rescales > 0, (mode, restarts)
+    assert restarted > 0
+
+
+def test_solver_leaves_no_reference_cycle():
+    # The benchmark solves with automatic GC off, so a cycle through the
+    # solver would keep every solve's state alive until a collection.
+    f = random_3sat(50, 218, 1)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for mode, (restarts, check) in itertools.product(
+            ("ncb", "wcb", "rscb", "lscb"), (("off", "off"), ("agility", "off"), ("off", "fine"))
+        ):
+            s = Solver(f.copy(), cfg(mode=mode, restarts=restarts, check_level=check))
+            s.solve()
+            del s
+            assert gc.collect() == 0, (mode, restarts, check)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_activity_replay_log_reproduces_ordering():
