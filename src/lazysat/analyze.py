@@ -84,9 +84,7 @@ def analyze(state, conflict, strategy=2):
             return LearnedClause(
                 lits=d_lits,
                 level=dlev,
-                second_level=max(
-                    (level[x >> 1] for x in d_lits if x != pivot), default=0
-                ),
+                second_level=state.residual_level(d_lits, pivot),
                 asserting=pivot,
                 source=source if not steps else None,
                 steps=steps,
@@ -161,9 +159,7 @@ def minimize(state, learned):
     return LearnedClause(
         lits=kept,
         level=learned.level,
-        second_level=max(
-            (state.level[x >> 1] for x in kept if x != learned.asserting), default=0
-        ),
+        second_level=state.residual_level(kept, learned.asserting),
         asserting=learned.asserting,
         source=None,
         steps=learned.steps,

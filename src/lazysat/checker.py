@@ -14,6 +14,11 @@ or over the trail, exactly as the invariant is stated:
 7  lazy backward compatible     5 weakened by a stored-MLI alternative
 8  blocker variant              7 weakened by a low-enough satisfied blocker
 
+The clause scan skips a clause whose watches are both unfalsified, and a
+watch orientation whose other watch is satisfied at or below the falsified
+one's level (that alone satisfies 1, 4, 5, 7 and 8), before it builds any
+detail; the detail string is formatted only for a reported violation.
+
 Checks are read-only, O(total clause size), and expect a quiescent state:
 a pending conflict legitimately violates 4/5/7 on the conflicting clause
 until backtracking and learned-clause installation finish.
@@ -24,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import lit_to_int
-from .state import INF, TRUE, UNDEF
+from .state import FALSE, TRUE
 
 ALL_INVARIANTS = (1, 2, 3, 4, 5, 6, 7, 8)
-CLAUSE_INVARIANTS = frozenset((1, 4, 5, 7, 8))
 
 
 @dataclass
@@ -40,16 +44,6 @@ class Violation:
         return "Violation(inv=%d, %s: %s)" % (self.invariant, self.subject, self.detail)
 
 
-def _lazy_residual(state, lit):
-    """Recomputed level of the stored MLI minus its literal; INF when unset."""
-    if state.val[lit] != TRUE:
-        return INF
-    clause = state.lazy_cl[lit >> 1]
-    if clause is None:
-        return INF
-    return state.residual_level(clause, lit)
-
-
 def check(state, formula, invariant, blockers=False):
     """Evaluate one invariant; empty list iff it holds everywhere."""
     return check_ids(state, formula, (invariant,), blockers=blockers)
@@ -59,51 +53,59 @@ def check_ids(state, formula, ids, blockers=False):
     """Evaluate several invariants in one pass over clauses and trail."""
     out = []
     want = set(ids)
-    clause_ids = sorted(want & CLAUSE_INVARIANTS)
-    if 8 in clause_ids and not blockers:
-        clause_ids.remove(8)  # not applicable without blocker maintenance
+    inv1 = 1 in want
+    inv4 = 4 in want
+    inv5 = 5 in want
+    inv7 = 7 in want
+    inv8 = 8 in want and blockers  # not applicable without blocker maintenance
     val = state.val
     level = state.level
     pos = state.pos
     head = state.head
 
-    if clause_ids:
+    if inv1 or inv4 or inv5 or inv7 or inv8:
+        lazy_cl = state.lazy_cl
         for clause in formula.clauses:
             lits = clause.lits
             if len(lits) < 2:
                 continue
-            pair = (lits[clause.w0], lits[clause.w1])
-            for c1, c2 in (pair, pair[::-1]):
-                if not (val[c1 ^ 1] == TRUE and pos[c1 >> 1] < head):
+            w0 = lits[clause.w0]
+            w1 = lits[clause.w1]
+            if val[w0] != FALSE and val[w1] != FALSE:
+                continue  # neither watch is falsified
+            for c1, c2 in ((w0, w1), (w1, w0)):
+                if val[c1] != FALSE or pos[c1 >> 1] >= head:
                     continue  # ¬c1 not in the propagated prefix
-                c2_sat = val[c2] == TRUE
-                c2_tau_false = val[c2 ^ 1] == TRUE and pos[c2 >> 1] < head
                 lvl1 = level[c1 >> 1]
                 lvl2 = level[c2 >> 1]
+                c2_sat = val[c2] == TRUE
+                if c2_sat and lvl2 <= lvl1:
+                    continue  # satisfied at or below: 1, 4, 5, 7 and 8 all hold
+                lazy_ok = False
+                if c2_sat and (inv7 or inv8):
+                    mli = lazy_cl[c2 >> 1]
+                    lazy_ok = mli is not None and state.residual_level(mli.lits, c2) <= lvl1
+                f1 = inv1 and val[c2] == FALSE and pos[c2 >> 1] < head
+                f4 = inv4 and not c2_sat
+                f7 = inv7 and not lazy_ok
+                f8 = inv8 and not lazy_ok
+                if f8:
+                    b = clause.blocker
+                    f8 = not (b != 0 and val[b] == TRUE and level[b >> 1] <= lvl1)
+                if not (f1 or f4 or inv5 or f7 or f8):
+                    continue
                 where = "C%d" % clause.index
-                ctx = "c1=%d@%s c2=%d@%s" % (
-                    lit_to_int(c1),
-                    lvl1,
-                    lit_to_int(c2),
-                    lvl2 if val[c2] != UNDEF else "inf",
-                )
-                if 1 in clause_ids and c2_tau_false:
+                ctx = "c1=%d@%s c2=%d@%s" % (lit_to_int(c1), lvl1, lit_to_int(c2), lvl2)
+                if f1:
                     out.append(Violation(1, where, "both watches falsified in prefix; " + ctx))
-                if 4 in clause_ids and not c2_sat:
+                if f4:
                     out.append(Violation(4, where, "watch falsified, other not satisfied; " + ctx))
-                if 5 in clause_ids and not (c2_sat and lvl2 <= lvl1):
+                if inv5:
                     out.append(Violation(5, where, "other watch not satisfied at or below; " + ctx))
-                if 7 in clause_ids or 8 in clause_ids:
-                    lazy_ok = c2_sat and (
-                        lvl2 <= lvl1 or _lazy_residual(state, c2) <= lvl1
-                    )
-                    if 7 in clause_ids and not lazy_ok:
-                        out.append(Violation(7, where, "no low satisfaction nor stored MLI; " + ctx))
-                    if 8 in clause_ids:
-                        b = clause.blocker
-                        b_ok = b != 0 and val[b] == TRUE and level[b >> 1] <= lvl1
-                        if not (lazy_ok or b_ok):
-                            out.append(Violation(8, where, "neither MLI cover nor blocker; " + ctx))
+                if f7:
+                    out.append(Violation(7, where, "no low satisfaction nor stored MLI; " + ctx))
+                if f8:
+                    out.append(Violation(8, where, "neither MLI cover nor blocker; " + ctx))
 
     if 2 in want or 3 in want:
         dec = set(state.decisions)
@@ -161,7 +163,7 @@ def check_ids(state, formula, ids, blockers=False):
             if not rest_false:
                 out.append(Violation(6, who, "stored MLI rest not falsified"))
                 continue
-            residual = state.residual_level(clause, lit)
+            residual = state.residual_level(clause.lits, lit)
             if not residual < level[v]:
                 out.append(
                     Violation(6, who, "stored MLI level %s not below %s" % (residual, level[v]))

@@ -165,6 +165,9 @@ def cmd_solve(args):
 def cmd_gen(args):
     import os
 
+    if args.count < 0:
+        print("error: --count must be at least 0, got %d" % args.count, file=sys.stderr)
+        return EXIT_ERROR
     os.makedirs(args.out_dir, exist_ok=True)
     m = args.clauses or satlib_clause_count(args.vars)
     for i in range(args.count):
@@ -267,6 +270,8 @@ def cmd_bench(args):
             _config_from(args, mode)  # rejects an unknown mode or a bad flag value
         if args.gen:
             n, m, count, seed = args.gen
+            if count < 0:
+                raise ValueError("--gen COUNT must be at least 0, got %d" % count)
             for i in range(count):
                 name = "gen-v%d-c%d-s%d" % (n, m, seed + i)
                 instances.append((name, random_3sat(n, m, seed + i), n, m))

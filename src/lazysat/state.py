@@ -61,11 +61,11 @@ class TrailState:
             return self.lazy_lvl[lit >> 1]
         return INF
 
-    def residual_level(self, clause, lit):
-        """Max level over the clause minus one literal; 0 for an empty rest."""
+    def residual_level(self, lits, lit):
+        """Max level over the literals other than lit; 0 for an empty rest."""
         level = self.level
         best = 0
-        for x in clause.lits:
+        for x in lits:
             if x != lit:
                 lx = level[x >> 1]
                 if lx > best:
@@ -108,7 +108,7 @@ class TrailState:
             assert lit in reason.lits, "reason does not contain the implied literal"
             rest = [x for x in reason.lits if x != lit]
             assert all(self.val[x] == FALSE for x in rest), "reason not unit under the trail"
-            assert lvl == self.residual_level(reason, lit), "implied level mismatch"
+            assert lvl == self.residual_level(reason.lits, lit), "implied level mismatch"
         self._assign(lit, lvl, reason)
         if self.trace is not None:
             self.trace(
@@ -126,7 +126,7 @@ class TrailState:
 
     def set_lazy(self, lit, clause):
         """Record a new or improved missed lower implication for lit."""
-        lvl = self.residual_level(clause, lit)
+        lvl = self.residual_level(clause.lits, lit)
         if self.checked:
             assert self.val[lit] == TRUE, "MLI target must be satisfied"
             assert lit in clause.lits, "MLI clause must contain its literal"

@@ -41,6 +41,8 @@ def random_3sat(n, m, seed):
     """m clauses of 3 distinct, non-complementary literals over n >= 3 variables."""
     if n < 3:
         raise ValueError("random 3-SAT needs at least 3 variables, got %d" % n)
+    if m < 0:
+        raise ValueError("random 3-SAT needs a clause count of at least 0, got %d" % m)
     rng = random.Random(seed)
     formula = Formula(n)
     for _ in range(m):

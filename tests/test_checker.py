@@ -1,7 +1,7 @@
-from lazysat.checker import ALL_INVARIANTS, check, check_ids, state_hash
-from lazysat.formula import Formula, lit_from_int
+from lazysat.checker import ALL_INVARIANTS, Violation, check, check_ids, state_hash
+from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
-from lazysat.state import TrailState
+from lazysat.state import INF, TRUE, UNDEF, TrailState
 from lazysat.testkit import random_3sat, s1_replay
 
 
@@ -120,3 +120,82 @@ def test_check_ids_matches_individual_checks():
     assert sorted((v.invariant, v.subject) for v in combined) == sorted(
         (v.invariant, v.subject) for v in singles
     )
+
+
+def _reference_clause_scan(state, formula, blockers):
+    """The straightforward clause-invariant scan (ids 1, 4, 5, 7, 8), kept as an oracle.
+
+    Every watch orientation whose first watch is falsified in the propagated
+    prefix gets its detail built and each invariant tested on its own.
+    """
+    out = []
+    clause_ids = [1, 4, 5, 7] + ([8] if blockers else [])
+    val = state.val
+    level = state.level
+    pos = state.pos
+    head = state.head
+    for clause in formula.clauses:
+        lits = clause.lits
+        if len(lits) < 2:
+            continue
+        pair = (lits[clause.w0], lits[clause.w1])
+        for c1, c2 in (pair, pair[::-1]):
+            if not (val[c1 ^ 1] == TRUE and pos[c1 >> 1] < head):
+                continue
+            c2_sat = val[c2] == TRUE
+            c2_tau_false = val[c2 ^ 1] == TRUE and pos[c2 >> 1] < head
+            lvl1 = level[c1 >> 1]
+            lvl2 = level[c2 >> 1]
+            where = "C%d" % clause.index
+            ctx = "c1=%d@%s c2=%d@%s" % (
+                lit_to_int(c1),
+                lvl1,
+                lit_to_int(c2),
+                lvl2 if val[c2] != UNDEF else "inf",
+            )
+            if 1 in clause_ids and c2_tau_false:
+                out.append(Violation(1, where, "both watches falsified in prefix; " + ctx))
+            if 4 in clause_ids and not c2_sat:
+                out.append(Violation(4, where, "watch falsified, other not satisfied; " + ctx))
+            if 5 in clause_ids and not (c2_sat and lvl2 <= lvl1):
+                out.append(Violation(5, where, "other watch not satisfied at or below; " + ctx))
+            mli = state.lazy_cl[c2 >> 1] if c2_sat else None
+            residual = state.residual_level(mli.lits, c2) if mli is not None else INF
+            lazy_ok = c2_sat and (lvl2 <= lvl1 or residual <= lvl1)
+            if 7 in clause_ids and not lazy_ok:
+                out.append(Violation(7, where, "no low satisfaction nor stored MLI; " + ctx))
+            if 8 in clause_ids:
+                b = clause.blocker
+                b_ok = b != 0 and val[b] == TRUE and level[b >> 1] <= lvl1
+                if not (lazy_ok or b_ok):
+                    out.append(Violation(8, where, "neither MLI cover nor blocker; " + ctx))
+    return out
+
+
+def test_check_ids_matches_reference_scan():
+    # the fast clause scan must report exactly what the straightforward one
+    # does, in the same order, at every step of real solves in every mode
+    def triples(violations):
+        return [(v.invariant, v.subject, v.detail) for v in violations]
+
+    fired = set()
+    for mode in ("ncb", "wcb", "rscb", "lscb"):
+        for blockers in (False, True):
+            for seed in range(6):
+                s = Solver(
+                    random_3sat(20, 86, seed),
+                    SolverConfig(mode=mode, cb_threshold=1, blockers=blockers),
+                )
+                assert s.setup() is None
+                kind = "setup"
+                while True:
+                    got = check_ids(s.state, s.formula, ALL_INVARIANTS, blockers=blockers)
+                    want = _reference_clause_scan(s.state, s.formula, blockers) + check_ids(
+                        s.state, s.formula, (2, 3, 6)
+                    )
+                    assert triples(got) == triples(want), (mode, blockers, seed, kind)
+                    fired.update(v.invariant for v in got)
+                    if kind in ("sat", "unsat"):
+                        break
+                    kind, _ = s.step()
+    assert {1, 4, 5, 7, 8} <= fired

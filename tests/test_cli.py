@@ -165,7 +165,11 @@ def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
     for argv in (
         ["solve", path, "--cb-threshold", "0"],
         ["gen", "--vars", "2", "--out-dir", out_dir],
+        ["gen", "--vars", "5", "--clauses", "-3", "--out-dir", out_dir],
+        ["gen", "--vars", "5", "--count", "-1", "--out-dir", out_dir],
         ["bench", "--gen", "2", "5", "1", "0"],
+        ["bench", "--gen", "10", "-3", "1", "0"],
+        ["bench", "--gen", "10", "43", "-1", "0"],
         ["bench", "--gen", "10", "43", "1", "0", "--cb-threshold", "0"],
     ):
         assert main(argv) == 1, argv

@@ -101,10 +101,10 @@ def test_set_lazy_records_and_improves():
     st.enqueue_decision(lit(4))
     st.set_lazy(lit(4), m1)
     assert st.lazy(lit(4)) is m1
-    assert st.lazy_level(lit(4)) == st.residual_level(m1, lit(4)) == 2
+    assert st.lazy_level(lit(4)) == st.residual_level(m1.lits, lit(4)) == 2
     st.set_lazy(lit(4), m2)
     assert st.lazy(lit(4)) is m2
-    assert st.lazy_level(lit(4)) == st.residual_level(m2, lit(4)) == 1
+    assert st.lazy_level(lit(4)) == st.residual_level(m2.lits, lit(4)) == 1
     # a worse candidate is a contract violation in checked mode
     with pytest.raises(AssertionError):
         st.set_lazy(lit(4), m1)
