@@ -47,59 +47,103 @@ def resolve(d_lits, c_lits, pivot):
 
 
 def analyze(state, conflict, strategy=2):
-    """Run conflict analysis on a fully falsified clause (or literal list)."""
+    """Run conflict analysis on a fully falsified clause (or literal list).
+
+    First UIP by a backward trail walk (Eén & Sörensson 2003).  ``seen``
+    marks the variables of the resolvent and ``n`` counts its literals at
+    the current maximal level ``dlev``.  Each step takes as pivot the
+    latest trail literal at ``dlev`` whose negation is in the resolvent.
+    A reason clause only adds literals that lie earlier on the trail, so
+    the walk continues from the pivot.  A lazy step adds literals below
+    ``dlev`` that may lie later on the trail; when it resolves away the
+    last literal at ``dlev`` the level drops, and the walk restarts at the
+    trail's end.  A resolved variable never comes back (every literal a
+    later step adds is below it or earlier on the trail), so ``lits`` only
+    grows and the literals of resolved variables are dropped at the end;
+    what remains is in the order of repeated :func:`resolve` calls.
+    """
     if isinstance(conflict, Clause):
-        d_lits = list(conflict.lits)
+        lits = list(conflict.lits)
         source = conflict
     else:
-        d_lits = list(conflict)
+        lits = list(conflict)
         source = None
     level = state.level
-    pos = state.pos
-    if state.checked:
-        assert all(state.val[x] == FALSE for x in d_lits), "conflict clause must be falsified"
+    val = state.val
+    trail = state.trail
+    reasons = state.reason
+    lazy_cl = state.lazy_cl if strategy == 2 else None
+    checked = state.checked
+    if checked:
+        assert all(val[x] == FALSE for x in lits), "conflict clause must be falsified"
+    seen = bytearray(state.num_vars + 1)
+    for x in lits:
+        seen[x >> 1] = 1
+    dlev, n = _top_level(lits, seen, level)
+    i = len(trail)
     steps = []
-    guard = 4 * len(state.trail) + 2 * len(d_lits) + 8
     while True:
-        guard -= 1
-        assert guard > 0, "conflict analysis failed to converge"
-        dlev = 0
-        for x in d_lits:
-            lx = level[x >> 1]
-            if lx > dlev:
-                dlev = lx
-        n = 0
-        pivot = -1
-        pivot_pos = -1
-        for x in d_lits:
-            v = x >> 1
-            if level[v] == dlev:
-                n += 1
-                if pos[v] > pivot_pos:
-                    pivot_pos = pos[v]
-                    pivot = x
-        trail_lit = pivot ^ 1  # the satisfied literal on the trail
-        lazy = state.lazy_cl[pivot >> 1] if strategy == 2 else None
+        i -= 1
+        t = trail[i]
+        v = t >> 1
+        while not seen[v] or level[v] != dlev:
+            i -= 1
+            t = trail[i]
+            v = t >> 1
+        lazy = lazy_cl[v] if lazy_cl is not None else None
         if n == 1 and lazy is None:
-            return LearnedClause(
-                lits=d_lits,
-                level=dlev,
-                second_level=state.residual_level(d_lits, pivot),
-                asserting=pivot,
-                source=source if not steps else None,
-                steps=steps,
-            )
+            break
         if lazy is not None:
             reason = lazy
-            kind = "lazy"
+            steps.append((t, "lazy"))
         else:
-            reason = state.reason[pivot >> 1]
-            kind = "reason"
-        assert reason is not None, "analysis pivot has no reason clause"
-        steps.append((trail_lit, kind))
-        d_lits = resolve(d_lits, reason.lits, trail_lit)
-        if state.checked:
-            assert all(state.val[x] == FALSE for x in d_lits), "resolvent must stay falsified"
+            reason = reasons[v]
+            assert reason is not None, "analysis pivot has no reason clause"
+            steps.append((t, "reason"))
+        for y in reason.lits:
+            u = y >> 1
+            if not seen[u]:
+                seen[u] = 1
+                lits.append(y)
+                if level[u] == dlev:
+                    n += 1
+        seen[v] = 0
+        n -= 1
+        if n == 0:
+            dlev, n = _top_level(lits, seen, level)
+            i = len(trail)
+        if checked:
+            assert all(
+                val[x] == FALSE for x in lits if seen[x >> 1]
+            ), "resolvent must stay falsified"
+    if steps:
+        lits = [x for x in lits if seen[x >> 1]]
+        source = None
+    pivot = t ^ 1
+    return LearnedClause(
+        lits=lits,
+        level=dlev,
+        second_level=state.residual_level(lits, pivot),
+        asserting=pivot,
+        source=source,
+        steps=steps,
+    )
+
+
+def _top_level(lits, seen, level):
+    """Maximal level over the live literals and how many lie at it."""
+    top = -1
+    n = 0
+    for x in lits:
+        v = x >> 1
+        if seen[v]:
+            lv = level[v]
+            if lv > top:
+                top = lv
+                n = 1
+            elif lv == top:
+                n += 1
+    return top, n
 
 
 def minimize(state, learned):

@@ -1,7 +1,8 @@
 """Mode-dispatched backtracking.
 
 All modes remove every literal above the target level, clear its
-bookkeeping, and compact the trail in one order-preserving pass.  They
+bookkeeping, and compact the trail in one order-preserving pass over the
+suffix that starts at the first removed decision.  They
 differ in what happens to the propagation head and to stored missed lower
 implications:
 
@@ -24,37 +25,40 @@ from .state import INF, UNDEF
 
 
 def backtrack(state, d, mode, stats=None):
-    """Undo the trail down to level d (which must be below the current level)."""
+    """Undo the trail down to level d (which must be below the current level).
+
+    Every literal before the decision that opened level d + 1 has a level
+    of at most d, so only the trail from there on is scanned and compacted.
+    """
     st = state
     assert d < len(st.decisions), "backtrack target must be below the current level"
     trail = st.trail
     level = st.level
     val = st.val
+    pos = st.pos
     old_level = len(st.decisions)
-    old_head = st.head
     order = st.order
     if order is not None:
         heap = order.heap
         queued = order.queued
         activity = order.activity
 
-    if mode == "rscb":
-        head_cut = st.pos[st.decisions[d] >> 1]  # captured before positions shift
-    else:
-        head_cut = old_head
-
-    kept = []
-    new_head = 0
+    start = pos[st.decisions[d] >> 1]
+    # rscb rewinds the head to the start; elsewhere kept literals keep their side of it
+    head_cut = start if mode == "rscb" else st.head
+    new_head = start if start < head_cut else head_cut
+    w = start
     reimply = []
-    removed = 0
-    for p, lit in enumerate(trail):
+    for p in range(start, len(trail)):
+        lit = trail[p]
         v = lit >> 1
         if level[v] <= d:
             if p < head_cut:
                 new_head += 1
-            kept.append(lit)
+            trail[w] = lit
+            pos[v] = w
+            w += 1
             continue
-        removed += 1
         if st.lazy_cl[v] is not None:
             if st.lazy_lvl[v] <= d:
                 reimply.append((st.lazy_lvl[v], len(reimply), st.lazy_cl[v]))
@@ -63,20 +67,20 @@ def backtrack(state, d, mode, stats=None):
         val[lit] = UNDEF
         val[lit ^ 1] = UNDEF
         level[v] = INF
-        st.pos[v] = -1
+        pos[v] = -1
         st.reason[v] = None
         if order is not None and not queued[v]:
             queued[v] = True
             heappush(heap, (-activity[v], v))
+    removed = len(trail) - w
 
     if mode == "ncb" and st.checked:
-        assert kept == trail[: len(kept)], "ncb trail removal must be a contiguous suffix"
+        # the suffix starts at a removed decision, so nothing in it may stay
+        assert w == start, "ncb trail removal must be a contiguous suffix"
 
-    st.trail = kept
-    for p, lit in enumerate(kept):
-        st.pos[lit >> 1] = p
+    del trail[w:]
     st.head = new_head
-    st.decisions = [x for x in st.decisions if val[x] != UNDEF]
+    del st.decisions[d:]
     if st.trace is not None:
         st.trace(
             {

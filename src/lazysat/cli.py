@@ -168,18 +168,19 @@ def cmd_gen(args):
     if args.count < 0:
         print("error: --count must be at least 0, got %d" % args.count, file=sys.stderr)
         return EXIT_ERROR
-    os.makedirs(args.out_dir, exist_ok=True)
     m = args.clauses or satlib_clause_count(args.vars)
-    for i in range(args.count):
-        seed = args.seed + i
-        try:
-            formula = random_3sat(args.vars, m, seed)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_ERROR
+    seeds = range(args.seed, args.seed + args.count)
+    try:
+        # generated before the directory exists, so a usage error leaves nothing behind
+        texts = [write_dimacs(random_3sat(args.vars, m, seed)) for seed in seeds]
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
+    os.makedirs(args.out_dir, exist_ok=True)
+    for seed, text in zip(seeds, texts):
         name = "rnd3-v%d-c%d-s%d.cnf" % (args.vars, m, seed)
         with open(os.path.join(args.out_dir, name), "w") as fh:
-            fh.write(write_dimacs(formula))
+            fh.write(text)
     print("generated %d instances in %s" % (args.count, args.out_dir))
     return 0
 

@@ -101,8 +101,14 @@ class Formula:
         if not lits:
             self.trivially_unsat = True
             return None
-        clause = Clause(lits, learned=learned, index=len(self.clauses))
-        self.clauses.append(clause)
+        return self.store(lits, learned)
+
+    def store(self, lits, learned=False):
+        """Append a clause given as encoded literals, which must be distinct,
+        in range and free of complementary pairs, and return its reference."""
+        clauses = self.clauses
+        clause = Clause(lits, learned, len(clauses))
+        clauses.append(clause)
         if len(lits) == 1:
             self.root_units.append(clause)
         return clause
@@ -117,7 +123,7 @@ class Formula:
         out.trivially_unsat = self.trivially_unsat
         for clause in self.clauses:
             if not clause.learned:
-                out.add_clause(clause.to_ints())
+                out.store(list(clause.lits))
         return out
 
 

@@ -170,6 +170,7 @@ class Solver:
         self.state.order = self.order  # backtracking requeues what it unassigns
         self.var_inc = VSIDS_BUMP
         self._agility = Agility(self.cfg.agility_decay)
+        self._restart_conflicts = -1  # conflict count at the last restart
         self.violations = Counter()  # invariant id -> observed count at checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
         self._solved = False
@@ -247,15 +248,23 @@ class Solver:
 
     def maybe_restart(self):
         """Restart (backtrack to the root) when the agility average sinks
-        below the configured limit.  Only consulted at decision points."""
+        below the configured limit.  Only consulted at decision points.
+
+        After a restart, the next one waits for a conflict: phase saving
+        replays the same assignments without flips, so agility alone could
+        fall below the limit again and restart forever.
+        """
         if self.cfg.restarts != "agility":
             return False
         if not self.state.decisions:
+            return False
+        if self.stats.conflicts == self._restart_conflicts:
             return False
         if self.agility >= self.cfg.agility_limit:
             return False
         run_backtrack(self.state, 0, self.cfg.mode, self.stats)
         self.stats.restarts += 1
+        self._restart_conflicts = self.stats.conflicts
         self._agility.value = 1.0
         self._emit({"kind": "restart", "count": self.stats.restarts})
         self._checkpoint()
@@ -276,7 +285,7 @@ class Solver:
         if len(learned.lits) == 1:
             clause = learned.source
             if clause is None:
-                clause = self.formula.add_clause([lit_to_int(lit)], learned=True)
+                clause = self.formula.store(learned.lits, learned=True)
                 self.stats.learned += 1
         elif learned.source is not None:
             clause = learned.source
@@ -285,24 +294,22 @@ class Solver:
             if watched != {lit, second}:
                 self.prop.rewatch(clause, lit, second)
         else:
-            clause = self.formula.add_clause(
-                [lit_to_int(x) for x in learned.lits], learned=True
-            )
-            assert clause is not None and len(clause.lits) == len(learned.lits)
+            clause = self.formula.store(learned.lits, learned=True)
             second = self._second_watch_lit(learned)
             clause.w0 = clause.lits.index(lit)
             clause.w1 = clause.lits.index(second)
             self.prop.watch_clause(clause)
             self.stats.learned += 1
         st.enqueue_implied(lit, clause, learned.second_level)
-        self._emit(
-            {
-                "kind": "learn",
-                "clause": clause.index,
-                "lits": [lit_to_int(x) for x in learned.lits],
-                "level": learned.second_level,
-            }
-        )
+        if self.trace is not None:
+            self.trace(
+                {
+                    "kind": "learn",
+                    "clause": clause.index,
+                    "lits": [lit_to_int(x) for x in learned.lits],
+                    "level": learned.second_level,
+                }
+            )
         return clause
 
     def _second_watch_lit(self, learned):
@@ -378,19 +385,22 @@ class Solver:
         cfg = self.cfg
         st = self.state
         stats = self.stats
+        trace = self.trace
         while True:
             stats.conflicts += 1
-            self._emit(
-                {
-                    "kind": "conflict",
-                    # None for a re-falsified learned clause (a literal list)
-                    "clause": conflict.index if isinstance(conflict, Clause) else None,
-                    "level": st.decision_level(),
-                }
-            )
+            if trace is not None:
+                trace(
+                    {
+                        "kind": "conflict",
+                        # None for a re-falsified learned clause (a literal list)
+                        "clause": conflict.index if isinstance(conflict, Clause) else None,
+                        "level": st.decision_level(),
+                    }
+                )
             learned = run_analysis(st, conflict, cfg.analyze)
-            for pivot, kind in learned.steps:
-                self._emit({"kind": "resolve", "pivot": lit_to_int(pivot), "reason": kind})
+            if trace is not None:
+                for pivot, kind in learned.steps:
+                    trace({"kind": "resolve", "pivot": lit_to_int(pivot), "reason": kind})
             pre = learned
             if cfg.minimize:
                 learned = minimize_clause(st, learned)

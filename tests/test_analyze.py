@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
-from lazysat.analyze import analyze, minimize, resolve
+from lazysat.analyze import LearnedClause, analyze, minimize, resolve
 from lazysat.backtrack import backtrack
-from lazysat.formula import Formula, lit_from_int, lit_to_int
-from lazysat.solver import Solver, SolverConfig
+from lazysat.formula import Clause, Formula, lit_from_int, lit_to_int
+from lazysat.solver import MODES, Solver, SolverConfig
 from lazysat.state import FALSE, TrailState
 from lazysat.testkit import entails, random_3sat, s2_replay
 
@@ -169,39 +170,125 @@ def test_minimized_clauses_stay_falsified_and_entailed():
     assert failures == 0
 
 
-def test_pivot_selection_matches_trail_scan():
-    # the pivot must be the last trail literal falsified in D at the top
-    # level; compare the position-based selection with a backward trail walk
-    import importlib
+def capture_analyses(monkeypatch, check):
+    """Route the solver's analysis calls through check(state, conflict, strategy, learned)."""
+    import lazysat.solver as solver_mod
 
-    analyze_module = importlib.import_module("lazysat.analyze")
-    orig_resolve = analyze_module.resolve
+    real = solver_mod.run_analysis
+
+    def wrapped(state, conflict, strategy=2):
+        learned = real(state, conflict, strategy)
+        check(state, conflict, strategy, learned)
+        return learned
+
+    monkeypatch.setattr(solver_mod, "run_analysis", wrapped)
+
+
+def test_pivot_selection_matches_trail_scan(monkeypatch):
+    # every pivot must be the last trail literal falsified in the resolvent at
+    # its top level: replay the recorded steps through resolve and compare
+    # each pivot with a backward trail walk
     checked = [0]
-    current_state = {}
 
-    def spying_resolve(d_lits, c_lits, pivot):
-        st = current_state["state"]
-        dset = set(d_lits)
-        dlev = max(st.level[x >> 1] for x in d_lits)
-        expected = None
-        for t in reversed(st.trail):
-            if (t ^ 1) in dset and st.level[t >> 1] == dlev:
-                expected = t
-                break
-        assert pivot == expected
-        checked[0] += 1
-        return orig_resolve(d_lits, c_lits, pivot)
+    def check(st, conflict, strategy, learned):
+        d_lits = list(conflict.lits if isinstance(conflict, Clause) else conflict)
+        for pivot, kind in learned.steps:
+            dset = set(d_lits)
+            dlev = max(st.level[x >> 1] for x in d_lits)
+            expected = None
+            for t in reversed(st.trail):
+                if (t ^ 1) in dset and st.level[t >> 1] == dlev:
+                    expected = t
+                    break
+            assert pivot == expected
+            checked[0] += 1
+            reason = st.lazy_cl[pivot >> 1] if kind == "lazy" else st.reason[pivot >> 1]
+            d_lits = resolve(d_lits, reason.lits, pivot)
+        assert d_lits == learned.lits
 
-    analyze_module.resolve = spying_resolve
-    try:
-        for seed in range(6):
-            f = random_3sat(14, 60, seed)
-            s = Solver(f.copy(), SolverConfig(mode="lscb", cb_threshold=1))
-            current_state["state"] = s.state
-            s.solve()
-    finally:
-        analyze_module.resolve = orig_resolve
+    capture_analyses(monkeypatch, check)
+    for seed in range(6):
+        f = random_3sat(14, 60, seed)
+        Solver(f.copy(), SolverConfig(mode="lscb", cb_threshold=1)).solve()
     assert checked[0] > 50
+
+
+def reference_analyze(state, conflict, strategy=2):
+    """First-UIP analysis as repeated binary resolution: a new resolvent per
+    step, its pivot the latest trail literal at the resolvent's top level."""
+    if isinstance(conflict, Clause):
+        d_lits = list(conflict.lits)
+        source = conflict
+    else:
+        d_lits = list(conflict)
+        source = None
+    level = state.level
+    pos = state.pos
+    steps = []
+    while True:
+        dlev = max(level[x >> 1] for x in d_lits)
+        n = 0
+        pivot = -1
+        pivot_pos = -1
+        for x in d_lits:
+            v = x >> 1
+            if level[v] == dlev:
+                n += 1
+                if pos[v] > pivot_pos:
+                    pivot_pos = pos[v]
+                    pivot = x
+        trail_lit = pivot ^ 1
+        lazy = state.lazy_cl[pivot >> 1] if strategy == 2 else None
+        if n == 1 and lazy is None:
+            return LearnedClause(
+                lits=d_lits,
+                level=dlev,
+                second_level=state.residual_level(d_lits, pivot),
+                asserting=pivot,
+                source=source if not steps else None,
+                steps=steps,
+            )
+        if lazy is not None:
+            reason = lazy
+            kind = "lazy"
+        else:
+            reason = state.reason[pivot >> 1]
+            kind = "reason"
+        steps.append((trail_lit, kind))
+        d_lits = resolve(d_lits, reason.lits, trail_lit)
+
+
+def test_analyze_matches_reference_resolution(monkeypatch):
+    # the trail walk learns exactly the clause of repeated resolution, on
+    # every conflict of every mode, strategy and minimization setting
+    seen = Counter()
+
+    def check(st, conflict, strategy, learned):
+        want = reference_analyze(st, conflict, strategy)
+        assert learned.lits == want.lits
+        assert (learned.level, learned.second_level) == (want.level, want.second_level)
+        assert learned.asserting == want.asserting
+        assert learned.source is want.source
+        assert learned.steps == want.steps
+        seen["analyses"] += 1
+        seen["lazy_steps"] += sum(1 for _, kind in want.steps if kind == "lazy")
+        lits = conflict.lits if isinstance(conflict, Clause) else conflict
+        if want.level < max(st.level[x >> 1] for x in lits):
+            seen["level_drops"] += 1
+
+    capture_analyses(monkeypatch, check)
+    for mode in MODES:
+        for strategy in (1, 2):
+            for minimize in (False, True):
+                for seed in range(20):
+                    f = random_3sat(40, 170, seed)
+                    cfg = SolverConfig(
+                        mode=mode, analyze=strategy, minimize=minimize, cb_threshold=1
+                    )
+                    Solver(f, cfg).solve()
+    assert seen["analyses"] > 1000
+    assert seen["lazy_steps"] > 0
+    assert seen["level_drops"] > 0
 
 
 def test_analyze_equivalence_on_random_instances():

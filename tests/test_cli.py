@@ -176,6 +176,7 @@ def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err, argv
         assert captured.out == "", argv
+        assert not os.path.exists(out_dir), argv  # validated before the directory is made
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

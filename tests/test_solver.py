@@ -248,6 +248,26 @@ def test_agility_ema_matches_offline_recomputation():
     assert s.stats.restarts == 1
 
 
+def test_agility_restarts_wait_for_a_conflict():
+    # phase saving replays the same assignments after a restart, so agility
+    # alone falls below the limit again; without a conflict between two
+    # restarts this instance restarted forever
+    f = random_3sat(80, 341, 0)
+    s = Solver(f, cfg(restarts="agility", agility_decay=0.95, agility_limit=0.3, vsids_decay=0.5))
+    assert s.setup() is None
+    conflicts_at_restart = []
+    kind = None
+    for _ in range(5000):
+        kind, _payload = s.step()
+        if kind in ("sat", "unsat"):
+            break
+        if kind == "restart":
+            conflicts_at_restart.append(s.stats.conflicts)
+    assert kind == "unsat"
+    assert len(conflicts_at_restart) > 1
+    assert all(a < b for a, b in zip(conflicts_at_restart, conflicts_at_restart[1:]))
+
+
 def test_install_learned_binary_watches_both():
     f = s1_formula()
     from lazysat.testkit import Rig
