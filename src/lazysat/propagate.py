@@ -6,6 +6,11 @@ classical modes skip unconditionally, lazy mode additionally requires the
 satisfaction (or a stored missed lower implication) to be at a level not
 above the literal being propagated.  The lazy bookkeeping is inert outside
 lazy mode because the classical skip fires first.
+
+A ternary clause has exactly one replacement candidate, the literal in
+neither watch slot, so its visits resolve the replacement in place;
+``_search_idx`` scans every other clause length and is the reference the
+in-place answer agrees with.
 """
 
 from __future__ import annotations
@@ -59,6 +64,8 @@ class Propagator:
         The candidate is either a literal not falsified by the current trail,
         or, when the clause minus c2 is fully falsified, a literal of maximal
         level in it (possibly c1 itself when no other attains the maximum).
+        ``propagate_literal`` gives the same answer for ternary clauses
+        without calling this; it serves every other length.
         """
         lits = clause.lits
         val = self.state.val
@@ -134,8 +141,18 @@ class Propagator:
                     watchers[j] = clause
                     j += 1
                     continue
-            ridx = self._search_idx(clause, c1, c2)
-            r = lits[ridx]
+            if len(lits) == 3:
+                # _search_idx's answer for its one candidate: take it unless
+                # it is falsified below c1 (a level tie moves off c1)
+                ridx = 3 - clause.w0 - clause.w1
+                r = lits[ridx]
+                if val[r] != FALSE:
+                    clause.search_pos = ridx
+                elif level[r >> 1] < lvl_c1:
+                    r = c1
+            else:
+                ridx = self._search_idx(clause, c1, c2)
+                r = lits[ridx]
             if r == c1:
                 watchers[j] = clause
                 j += 1

@@ -354,7 +354,9 @@ class Solver:
         """One macro step of the main loop.
 
         Returns one of ("sat", model), ("unsat", None), ("decide", literal),
-        ("restart", None), or ("learn", (installed lits, episode conflicts)).
+        ("restart", None), or ("learn", (installed lits, episode conflicts)),
+        where the installed lits are the learned clause's encoded literals,
+        unsorted.
         """
         st = self.state
         # bound here, not stored: a stored bound method would tie the solver to itself
@@ -379,8 +381,8 @@ class Solver:
     def _handle_conflict(self, conflict):
         """Analyze/backtrack/install one conflict episode.
 
-        Returns the installed clause as sorted signed integers, or False
-        when the formula is refuted (a level-0 clause was derived).
+        Returns the installed clause's encoded literals, or False when the
+        formula is refuted (a level-0 clause was derived).
         """
         cfg = self.cfg
         st = self.state
@@ -422,7 +424,7 @@ class Solver:
                 continue
             self.install_learned(learned)
             self._checkpoint()
-            return sorted(lit_to_int(x) for x in learned.lits)
+            return learned.lits
 
     def _model(self):
         val = self.state.val

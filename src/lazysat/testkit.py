@@ -14,7 +14,7 @@ import random
 from .analyze import analyze as run_analysis
 from .backtrack import backtrack
 from .checker import state_hash
-from .formula import Formula, lit_from_int, parse_dimacs
+from .formula import Formula, lit_from_int, lit_to_int, parse_dimacs
 from .solver import Solver, SolverConfig, Verdict
 
 # SATLIB uniform random 3-SAT family sizes (clauses per variable count).
@@ -455,7 +455,7 @@ class LockstepRunner:
             out["conflicts2"] += conf2
             if conf1 < conf2:
                 out["mismatches"].append(("conflicts", conf1, conf2))
-            if installed1 != installed2:
+            if sorted(installed1) != sorted(installed2):
                 if lazy1 or lazy2:
                     # Lazy reasons drove the two strategies through different
                     # (individually sound) resolutions; the machines have
@@ -463,7 +463,9 @@ class LockstepRunner:
                     out["undefined_episodes"] = out.get("undefined_episodes", 0) + 1
                     out["diverged"] = True
                     break
-                out["mismatches"].append((installed1, installed2))
+                out["mismatches"].append(
+                    (sorted(map(lit_to_int, installed1)), sorted(map(lit_to_int, installed2)))
+                )
             if self._machine_hash(s1) != self._machine_hash(s2):
                 out["diverged"] = True
                 break

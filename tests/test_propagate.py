@@ -1,9 +1,10 @@
+import itertools
 import random
 
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.propagate import Propagator
 from lazysat.solver import Solver, SolverConfig, Stats
-from lazysat.state import FALSE, TrailState
+from lazysat.state import FALSE, TRUE, TrailState
 from lazysat.testkit import random_3sat, s1_replay, s2_replay
 
 
@@ -153,3 +154,92 @@ def test_deterministic_stats_for_fixed_seed_and_config():
             v = s.solve()
             runs.append((v.sat, s.stats.as_dict()))
         assert runs[0] == runs[1]
+
+
+# Ternary watch visits, table-driven: every (w0, w1) pair with c1 in either
+# slot, the third literal unassigned, true, or false below/at/above c1's
+# level, and c2 unassigned, true below or above c1's level, or false, in
+# both a classical and the lazy mode.  c1 is falsified at level 2.
+C1_LEVEL = 2
+THIRD_STATES = [None, ("true", 2), ("false", 1), ("false", 2), ("false", 3)]
+C2_STATES = [None, ("true", 1), ("true", 3), ("false", 1)]
+
+
+def ternary_case(mode, w0, w1, c1_slot, third, c2_state):
+    """A watched ternary clause over variables 1..3 and a trail that falsifies
+    c1 at level 2; variables 4..6 are the decisions that open levels 1..3.
+
+    Returns (state, propagator, clause, c1, c2)."""
+    f = Formula(6)
+    clause = f.add_clause([1, 2, 3])
+    clause.w0, clause.w1 = w0, w1
+    lits = clause.lits
+    c1 = lits[(w0, w1)[c1_slot]]
+    c2 = lits[(w0, w1)[1 - c1_slot]]
+    clause.search_pos = (w0, w1)[c1_slot]  # not the third slot, so a write shows
+    st = TrailState(6)
+    prop = Propagator(f, st, mode, Stats())
+    prop.init_watches()
+    wanted = [(c1 ^ 1, C1_LEVEL)]
+    for x, state in ((lits[3 - w0 - w1], third), (c2, c2_state)):
+        if state is not None:
+            polarity, lvl = state
+            wanted.append((x if polarity == "true" else x ^ 1, lvl))
+    for lvl in (1, 2, 3):
+        st.enqueue_decision(lit(3 + lvl))
+        for x, at in wanted:
+            if at == lvl:
+                st.enqueue_implied(x, None, lvl)  # reasons play no part in a watch visit
+    return st, prop, clause, c1, c2
+
+
+def test_ternary_watch_visit_matches_search_idx():
+    slot_pairs = [(w0, w1) for w0 in range(3) for w1 in range(3) if w0 != w1]
+    cases = list(
+        itertools.product(("wcb", "lscb"), slot_pairs, (0, 1), THIRD_STATES, C2_STATES)
+    )
+    outcomes = set()
+    for mode, (w0, w1), c1_slot, third, c2_state in cases:
+        case = (mode, w0, w1, c1_slot, third, c2_state)
+        # the reference answer, taken on an identical copy
+        _, ref_prop, ref, c1, c2 = ternary_case(*case)
+        st, prop, clause, _, _ = ternary_case(*case)
+        level = st.level
+        lvl_c1 = level[c1 >> 1]
+        c2_true = st.value(c2) == TRUE
+        slots = [clause.w0, clause.w1]
+        search_pos = clause.search_pos
+        trail = list(st.trail)
+        conflict = mli = implied_at = None
+        if not (c2_true and (mode != "lscb" or level[c2 >> 1] <= lvl_c1)):
+            ridx = ref_prop._search_idx(ref, c1, c2)
+            search_pos = ref.search_pos
+            r = clause.lits[ridx]
+            if r != c1:
+                slots[slots.index(clause.lits.index(c1))] = ridx
+            if r == c1:
+                outcomes.add("keep")
+            else:
+                outcomes.add("move to false" if st.value(r) == FALSE else "move to free")
+            if r == c1 or st.value(r) == FALSE:
+                lvl_r = level[r >> 1]
+                if st.value(c2) == FALSE:
+                    conflict = clause
+                    outcomes.add("conflict")
+                elif not c2_true:
+                    trail.append(c2)
+                    implied_at = lvl_r
+                    outcomes.add("unit")
+                elif level[c2 >> 1] > lvl_r:
+                    mli = clause
+                    outcomes.add("mli")
+        assert prop.propagate_literal(c1 ^ 1) is conflict, case
+        assert [clause.w0, clause.w1] == slots, case
+        assert clause.search_pos == search_pos, case
+        assert st.trail == trail, case
+        if implied_at is not None:
+            assert level[c2 >> 1] == implied_at, case
+        assert st.lazy_cl[c2 >> 1] is mli, case
+        holders = sorted(x for x, bucket in enumerate(prop.wl) for c in bucket if c is clause)
+        assert holders == sorted(clause.lits[k] for k in slots), case
+    assert outcomes == {"keep", "move to false", "move to free", "conflict", "unit", "mli"}
