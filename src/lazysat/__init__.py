@@ -14,7 +14,6 @@ from .formula import (
     Formula,
     lit_from_int,
     lit_to_int,
-    negate,
     parse_dimacs,
     write_dimacs,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "lit_from_int",
     "lit_to_int",
     "minimize",
-    "negate",
     "parse_dimacs",
     "resolve",
     "solve_formula",

@@ -22,10 +22,6 @@ def lit_to_int(lit: int) -> int:
     return -v if lit & 1 else v
 
 
-def negate(lit: int) -> int:
-    return lit ^ 1
-
-
 class Clause:
     """A stored disjunction with two watch slots and an optional blocker.
 

@@ -1,5 +1,15 @@
 """Watched-literal Boolean constraint propagation with MLI detection.
 
+``Propagator.bcp`` is the one propagation kernel.  It runs the whole
+pending queue in a single frame: the state's arrays are bound to locals
+once per call, the head and the propagation count are kept in locals and
+written back on exit, and each queued literal visits the clauses watching
+its negation in one inline loop.  An implied literal is assigned inline
+too.  When the state has checked asserts, a trace callback or an
+``on_assign`` callback, implications go through ``enqueue_implied`` and
+pops through ``pop_next`` instead, which own those hooks; the search is the
+same either way.
+
 One code path serves all backtracking modes.  The mode only changes the
 skip condition when the other watched literal is already satisfied: the
 classical modes skip unconditionally, lazy mode additionally requires the
@@ -43,16 +53,23 @@ class Propagator:
                 self.watch_clause(clause)
 
     def rewatch(self, clause, lit0, lit1):
-        """Point the clause's watches at two specific literals, fixing the lists."""
+        """Point the clause's watches at two specific literals, fixing the lists.
+
+        Nothing changes when the clause already watches exactly those two.
+        """
         lits = clause.lits
-        targets = {lit0, lit1}
-        current = {lits[clause.w0], lits[clause.w1]}
-        for old in current - targets:
-            bucket = self.wl[old]
-            if clause in bucket:
-                bucket.remove(clause)
-        for new in targets - current:
-            self.wl[new].append(clause)
+        a = lits[clause.w0]
+        b = lits[clause.w1]
+        if (a == lit0 and b == lit1) or (a == lit1 and b == lit0):
+            return
+        for old in (a, b):
+            if old != lit0 and old != lit1:
+                bucket = self.wl[old]
+                if clause in bucket:
+                    bucket.remove(clause)
+        for new in (lit0, lit1):
+            if new != a and new != b:
+                self.wl[new].append(clause)
         clause.w0 = lits.index(lit0)
         clause.w1 = lits.index(lit1)
 
@@ -64,8 +81,8 @@ class Propagator:
         The candidate is either a literal not falsified by the current trail,
         or, when the clause minus c2 is fully falsified, a literal of maximal
         level in it (possibly c1 itself when no other attains the maximum).
-        ``propagate_literal`` gives the same answer for ternary clauses
-        without calling this; it serves every other length.
+        ``bcp`` gives the same answer for ternary clauses without calling
+        this; it serves every other length.
         """
         lits = clause.lits
         val = self.state.val
@@ -102,91 +119,13 @@ class Propagator:
 
     # -- propagation ---------------------------------------------------------
 
-    def propagate_literal(self, lit):
-        """Visit every clause watching the negation of lit.
-
-        Returns a conflicting clause, or None.  Clauses whose falsified
-        watch gets replaced move lists even when the replacement is itself
-        falsified, so the remaining watch pair always exposes the highest
-        falsified level.
-        """
-        st = self.state
-        val = st.val
-        level = st.level
-        lazy_lvl = st.lazy_lvl
-        lazy_mode = self.lazy_mode
-        blockers = self.blockers
-        c1 = lit ^ 1
-        lvl_c1 = level[c1 >> 1]
-        watchers = self.wl[c1]
-        i = j = 0
-        n_w = len(watchers)
-        while i < n_w:
-            clause = watchers[i]
-            i += 1
-            if blockers:
-                b = clause.blocker
-                if b and val[b] == TRUE and level[b >> 1] <= lvl_c1:
-                    watchers[j] = clause
-                    j += 1
-                    continue
-            lits = clause.lits
-            a = lits[clause.w0]
-            c2 = lits[clause.w1] if a == c1 else a
-            vc2 = val[c2]
-            if vc2 == TRUE:
-                if not lazy_mode or level[c2 >> 1] <= lvl_c1 or lazy_lvl[c2 >> 1] <= lvl_c1:
-                    if blockers:
-                        clause.blocker = c2
-                    watchers[j] = clause
-                    j += 1
-                    continue
-            if len(lits) == 3:
-                # _search_idx's answer for its one candidate: take it unless
-                # it is falsified below c1 (a level tie moves off c1)
-                ridx = 3 - clause.w0 - clause.w1
-                r = lits[ridx]
-                if val[r] != FALSE:
-                    clause.search_pos = ridx
-                elif level[r >> 1] < lvl_c1:
-                    r = c1
-            else:
-                ridx = self._search_idx(clause, c1, c2)
-                r = lits[ridx]
-            if r == c1:
-                watchers[j] = clause
-                j += 1
-            else:
-                if lits[clause.w0] == c1:
-                    clause.w0 = ridx
-                else:
-                    clause.w1 = ridx
-                self.wl[r].append(clause)
-                if val[r ^ 1] != TRUE:
-                    if blockers and val[r] == TRUE:
-                        clause.blocker = r
-                    continue
-            # The clause minus c2 is fully falsified and r has its maximal level.
-            if vc2 == FALSE:
-                while i < n_w:
-                    watchers[j] = watchers[i]
-                    j += 1
-                    i += 1
-                del watchers[j:]
-                return clause
-            lvl_r = level[r >> 1]
-            if vc2 == TRUE:
-                if level[c2 >> 1] > lvl_r and lazy_lvl[c2 >> 1] > lvl_r:
-                    st.set_lazy(c2, clause)
-                    if self.stats is not None:
-                        self.stats.mli_detected += 1
-                continue
-            st.enqueue_implied(c2, clause, lvl_r)
-        del watchers[j:]
-        return None
-
     def bcp(self, on_pop=None):
         """Propagate the pending queue to fixpoint.
+
+        Each queued literal visits every clause watching its negation.
+        Clauses whose falsified watch gets replaced move lists even when the
+        replacement is itself falsified, so the remaining watch pair always
+        exposes the highest falsified level.
 
         On conflict the triggering literal is left in the queue and the
         conflicting clause returned; otherwise the trail ends fully
@@ -194,13 +133,111 @@ class Propagator:
         """
         st = self.state
         stats = self.stats
-        while st.head < len(st.trail):
-            conflict = self.propagate_literal(st.trail[st.head])
-            if conflict is not None:
-                return conflict
-            st.pop_next()
-            if stats is not None:
-                stats.propagations += 1
+        val = st.val
+        level = st.level
+        lazy_lvl = st.lazy_lvl
+        pos = st.pos
+        reason = st.reason
+        saved_phase = st.saved_phase
+        trail = st.trail
+        wl = self.wl
+        lazy_mode = self.lazy_mode
+        blockers = self.blockers
+        # checked asserts, trace events and the agility callback live in
+        # enqueue_implied and pop_next; without any of them both run inline
+        hooked = st.checked or st.trace is not None or st.on_assign is not None
+        head = st.head
+        props = 0
+        while head < len(trail):
+            c1 = trail[head] ^ 1
+            lvl_c1 = level[c1 >> 1]
+            watchers = wl[c1]
+            i = j = 0
+            n_w = len(watchers)
+            while i < n_w:
+                clause = watchers[i]
+                i += 1
+                if blockers:
+                    b = clause.blocker
+                    if b and val[b] == TRUE and level[b >> 1] <= lvl_c1:
+                        watchers[j] = clause
+                        j += 1
+                        continue
+                lits = clause.lits
+                a = lits[clause.w0]
+                c2 = lits[clause.w1] if a == c1 else a
+                vc2 = val[c2]
+                if vc2 == TRUE:
+                    if not lazy_mode or level[c2 >> 1] <= lvl_c1 or lazy_lvl[c2 >> 1] <= lvl_c1:
+                        if blockers:
+                            clause.blocker = c2
+                        watchers[j] = clause
+                        j += 1
+                        continue
+                if len(lits) == 3:
+                    # _search_idx's answer for its one candidate: take it unless
+                    # it is falsified below c1 (a level tie moves off c1)
+                    ridx = 3 - clause.w0 - clause.w1
+                    r = lits[ridx]
+                    if val[r] != FALSE:
+                        clause.search_pos = ridx
+                    elif level[r >> 1] < lvl_c1:
+                        r = c1
+                else:
+                    ridx = self._search_idx(clause, c1, c2)
+                    r = lits[ridx]
+                if r == c1:
+                    watchers[j] = clause
+                    j += 1
+                else:
+                    if lits[clause.w0] == c1:
+                        clause.w0 = ridx
+                    else:
+                        clause.w1 = ridx
+                    wl[r].append(clause)
+                    if val[r ^ 1] != TRUE:
+                        if blockers and val[r] == TRUE:
+                            clause.blocker = r
+                        continue
+                # The clause minus c2 is fully falsified and r has its maximal level.
+                if vc2 == FALSE:
+                    while i < n_w:
+                        watchers[j] = watchers[i]
+                        j += 1
+                        i += 1
+                    del watchers[j:]
+                    st.head = head
+                    if stats is not None:
+                        stats.propagations += props
+                    return clause
+                lvl_r = level[r >> 1]
+                if vc2 == TRUE:
+                    if level[c2 >> 1] > lvl_r and lazy_lvl[c2 >> 1] > lvl_r:
+                        st.set_lazy(c2, clause)
+                        if stats is not None:
+                            stats.mli_detected += 1
+                    continue
+                if hooked:
+                    st.enqueue_implied(c2, clause, lvl_r)
+                    continue
+                v = c2 >> 1
+                val[c2] = TRUE
+                val[c2 ^ 1] = FALSE
+                level[v] = lvl_r
+                pos[v] = len(trail)
+                reason[v] = clause
+                saved_phase[v] = c2 & 1
+                trail.append(c2)
+            del watchers[j:]
+            if hooked:
+                st.head = head
+                st.pop_next()
+            head += 1
+            props += 1
             if on_pop is not None:
+                st.head = head
                 on_pop()
+        st.head = head
+        if stats is not None:
+            stats.propagations += props
         return None

@@ -289,10 +289,7 @@ class Solver:
                 self.stats.learned += 1
         elif learned.source is not None:
             clause = learned.source
-            second = self._second_watch_lit(learned)
-            watched = {clause.lits[clause.w0], clause.lits[clause.w1]}
-            if watched != {lit, second}:
-                self.prop.rewatch(clause, lit, second)
+            self.prop.rewatch(clause, lit, self._second_watch_lit(learned))
         else:
             clause = self.formula.store(learned.lits, learned=True)
             second = self._second_watch_lit(learned)

@@ -39,14 +39,6 @@ class TrailState:
 
     # -- queries ---------------------------------------------------------
 
-    def value(self, lit):
-        """TRUE if lit is on the trail, FALSE if its negation is, else UNDEF."""
-        return self.val[lit]
-
-    def lit_level(self, lit):
-        """Level of the literal's variable; INF when unassigned."""
-        return self.level[lit >> 1]
-
     def decision_level(self):
         return len(self.decisions)
 

@@ -62,7 +62,9 @@ def random_3sat(n, m, seed):
 def brute_force(formula):
     """Exact satisfiability by plain DPLL (no learning, no watches).
 
-    Counter-based unit propagation over occurrence lists; branches on the
+    Counter-based unit propagation over occurrence lists: assigning a
+    literal queues every clause it leaves with one free literal and none
+    satisfied, and propagation works through only those.  Branches on the
     first unassigned literal of the first unsatisfied clause.
     """
     if formula.trivially_unsat:
@@ -79,6 +81,7 @@ def brute_force(formula):
     free = [len(c) for c in clauses]  # non-falsified literal counts
     nsat = [0] * len(clauses)  # satisfying assignment counts
     assign = [0] * (n + 1)  # 0 unassigned, +1 true, -1 false
+    units = []  # clauses that became unit since the last fixpoint; rechecked when popped
 
     def set_lit(x, trail):
         v = abs(x)
@@ -90,11 +93,16 @@ def brute_force(formula):
         conflict = False
         for ci in false_occ[v]:
             free[ci] -= 1
-            if free[ci] == 0 and nsat[ci] == 0:
-                conflict = True
+            if nsat[ci] == 0:
+                if free[ci] == 0:
+                    conflict = True
+                elif free[ci] == 1:
+                    units.append(ci)
         return conflict
 
     def undo(trail, mark):
+        # undo runs only on the way back to a propagated state, which has no unit clause
+        units.clear()
         while len(trail) > mark:
             x = trail.pop()
             v = abs(x)
@@ -106,18 +114,15 @@ def brute_force(formula):
                 free[ci] += 1
 
     def propagate(trail):
-        changed = True
-        while changed:
-            changed = False
-            for ci, c in enumerate(clauses):
-                if nsat[ci] or free[ci] != 1:
-                    continue
-                for x in c:
-                    if assign[abs(x)] == 0:
-                        if set_lit(x, trail):
-                            return True
-                        changed = True
-                        break
+        while units:
+            ci = units.pop()
+            if nsat[ci] or free[ci] != 1:
+                continue
+            for x in clauses[ci]:
+                if assign[abs(x)] == 0:
+                    if set_lit(x, trail):
+                        return True
+                    break
         return False
 
     def pick():

@@ -7,7 +7,6 @@ from lazysat.formula import (
     Formula,
     lit_from_int,
     lit_to_int,
-    negate,
     parse_dimacs,
     write_dimacs,
 )
@@ -17,9 +16,9 @@ def test_literal_encoding_roundtrip():
     for n in (1, -1, 7, -7, 123, -123):
         lit = lit_from_int(n)
         assert lit_to_int(lit) == n
-        assert negate(negate(lit)) == lit
-        assert negate(lit) >> 1 == lit >> 1
-        assert (negate(lit) & 1) != (lit & 1)
+        assert lit ^ 1 ^ 1 == lit
+        assert (lit ^ 1) >> 1 == lit >> 1
+        assert ((lit ^ 1) & 1) != (lit & 1)
 
 
 def test_parse_basic():

@@ -3,7 +3,7 @@ import random
 
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.propagate import Propagator
-from lazysat.solver import Solver, SolverConfig, Stats
+from lazysat.solver import MODES, Solver, SolverConfig, Stats
 from lazysat.state import FALSE, TRUE, TrailState
 from lazysat.testkit import random_3sat, s1_replay, s2_replay
 
@@ -40,7 +40,7 @@ def test_search_idx_case_b_total_falsification():
     st.enqueue_decision(lit(2))  # satisfies the first watch at level 2
     r = c.lits[prop._search_idx(c, lit(3), lit(2))]
     assert r == lit(-5)
-    assert st.lit_level(r) == 1
+    assert st.level[r >> 1] == 1
 
 
 def test_search_idx_matches_full_scan_on_falsified_clauses():
@@ -88,23 +88,44 @@ def test_propagate_literal_conflict_on_pending_queue():
     # drive the remaining queued literal directly
     st.pop_next()
     st.pop_next()
-    confl = rig.prop.propagate_literal(lit(7))
+    assert st.trail[st.head :] == [lit(7)]
+    confl = rig.prop.bcp()
     assert confl is rig.formula.clauses[4]
-    assert all(st.value(x) == FALSE for x in confl.lits)
+    assert all(st.val[x] == FALSE for x in confl.lits)
+    assert st.trail[st.head] == lit(7)
 
 
 def test_propagate_literal_empty_watchlist_no_change():
     f, st, prop = make_rig(3, [[1, 2]])
     st.enqueue_decision(lit(3))
     trail_before = list(st.trail)
-    assert prop.propagate_literal(lit(3)) is None
+    assert prop.bcp() is None
     assert st.trail == trail_before
+    assert st.head == 1
 
 
 def test_bcp_empty_queue_is_noop():
     f, st, prop = make_rig(3, [[1, 2]])
     assert prop.bcp() is None
     assert prop.stats.propagations == 0
+
+
+def test_bcp_on_pop_sees_the_advanced_head():
+    # an unchecked, untraced state runs the inline path; on_pop still sees
+    # the head and trail the reference kernel shows it
+    seen = []
+    for kernel in (Propagator.bcp, reference_bcp):
+        f = Formula(4)
+        for ints in ([1, 2], [1, 3], [-2, -3, 4]):
+            f.add_clause(ints)
+        st = TrailState(4)
+        prop = Propagator(f, st, "lscb", Stats())
+        prop.init_watches()
+        st.enqueue_decision(lit(-1))
+        heads = []
+        assert kernel(prop, lambda: heads.append((st.head, len(st.trail)))) is None
+        seen.append(heads)
+    assert seen[0] == seen[1] == [(1, 3), (2, 3), (3, 4), (4, 4)]
 
 
 def test_bcp_conflict_leaves_trigger_queued():
@@ -168,6 +189,8 @@ C2_STATES = [None, ("true", 1), ("true", 3), ("false", 1)]
 def ternary_case(mode, w0, w1, c1_slot, third, c2_state):
     """A watched ternary clause over variables 1..3 and a trail that falsifies
     c1 at level 2; variables 4..6 are the decisions that open levels 1..3.
+    The literal falsifying c1 comes last on the trail and is the only queued
+    one, so ``bcp`` visits exactly the clauses watching c1.
 
     Returns (state, propagator, clause, c1, c2)."""
     f = Formula(6)
@@ -180,7 +203,7 @@ def ternary_case(mode, w0, w1, c1_slot, third, c2_state):
     st = TrailState(6)
     prop = Propagator(f, st, mode, Stats())
     prop.init_watches()
-    wanted = [(c1 ^ 1, C1_LEVEL)]
+    wanted = []
     for x, state in ((lits[3 - w0 - w1], third), (c2, c2_state)):
         if state is not None:
             polarity, lvl = state
@@ -190,6 +213,8 @@ def ternary_case(mode, w0, w1, c1_slot, third, c2_state):
         for x, at in wanted:
             if at == lvl:
                 st.enqueue_implied(x, None, lvl)  # reasons play no part in a watch visit
+    st.enqueue_implied(c1 ^ 1, None, C1_LEVEL)
+    st.head = len(st.trail) - 1
     return st, prop, clause, c1, c2
 
 
@@ -206,7 +231,7 @@ def test_ternary_watch_visit_matches_search_idx():
         st, prop, clause, _, _ = ternary_case(*case)
         level = st.level
         lvl_c1 = level[c1 >> 1]
-        c2_true = st.value(c2) == TRUE
+        c2_true = st.val[c2] == TRUE
         slots = [clause.w0, clause.w1]
         search_pos = clause.search_pos
         trail = list(st.trail)
@@ -220,10 +245,10 @@ def test_ternary_watch_visit_matches_search_idx():
             if r == c1:
                 outcomes.add("keep")
             else:
-                outcomes.add("move to false" if st.value(r) == FALSE else "move to free")
-            if r == c1 or st.value(r) == FALSE:
+                outcomes.add("move to false" if st.val[r] == FALSE else "move to free")
+            if r == c1 or st.val[r] == FALSE:
                 lvl_r = level[r >> 1]
-                if st.value(c2) == FALSE:
+                if st.val[c2] == FALSE:
                     conflict = clause
                     outcomes.add("conflict")
                 elif not c2_true:
@@ -233,7 +258,8 @@ def test_ternary_watch_visit_matches_search_idx():
                 elif level[c2 >> 1] > lvl_r:
                     mli = clause
                     outcomes.add("mli")
-        assert prop.propagate_literal(c1 ^ 1) is conflict, case
+        assert prop.bcp() is conflict, case
+        assert st.head == (len(trail) - 1 if conflict else len(st.trail)), case
         assert [clause.w0, clause.w1] == slots, case
         assert clause.search_pos == search_pos, case
         assert st.trail == trail, case
@@ -243,3 +269,164 @@ def test_ternary_watch_visit_matches_search_idx():
         holders = sorted(x for x, bucket in enumerate(prop.wl) for c in bucket if c is clause)
         assert holders == sorted(clause.lits[k] for k in slots), case
     assert outcomes == {"keep", "move to false", "move to free", "conflict", "unit", "mli"}
+
+
+# The per-literal kernel that ``Propagator.bcp`` replaced, kept here as the
+# reference the one-frame kernel must agree with: one call per queued
+# literal, implications through ``enqueue_implied`` and pops through
+# ``pop_next``.
+
+
+def reference_propagate_literal(prop, lit):
+    st = prop.state
+    val = st.val
+    level = st.level
+    lazy_lvl = st.lazy_lvl
+    lazy_mode = prop.lazy_mode
+    blockers = prop.blockers
+    c1 = lit ^ 1
+    lvl_c1 = level[c1 >> 1]
+    watchers = prop.wl[c1]
+    i = j = 0
+    n_w = len(watchers)
+    while i < n_w:
+        clause = watchers[i]
+        i += 1
+        if blockers:
+            b = clause.blocker
+            if b and val[b] == TRUE and level[b >> 1] <= lvl_c1:
+                watchers[j] = clause
+                j += 1
+                continue
+        lits = clause.lits
+        a = lits[clause.w0]
+        c2 = lits[clause.w1] if a == c1 else a
+        vc2 = val[c2]
+        if vc2 == TRUE:
+            if not lazy_mode or level[c2 >> 1] <= lvl_c1 or lazy_lvl[c2 >> 1] <= lvl_c1:
+                if blockers:
+                    clause.blocker = c2
+                watchers[j] = clause
+                j += 1
+                continue
+        if len(lits) == 3:
+            ridx = 3 - clause.w0 - clause.w1
+            r = lits[ridx]
+            if val[r] != FALSE:
+                clause.search_pos = ridx
+            elif level[r >> 1] < lvl_c1:
+                r = c1
+        else:
+            ridx = prop._search_idx(clause, c1, c2)
+            r = lits[ridx]
+        if r == c1:
+            watchers[j] = clause
+            j += 1
+        else:
+            if lits[clause.w0] == c1:
+                clause.w0 = ridx
+            else:
+                clause.w1 = ridx
+            prop.wl[r].append(clause)
+            if val[r ^ 1] != TRUE:
+                if blockers and val[r] == TRUE:
+                    clause.blocker = r
+                continue
+        if vc2 == FALSE:
+            while i < n_w:
+                watchers[j] = watchers[i]
+                j += 1
+                i += 1
+            del watchers[j:]
+            return clause
+        lvl_r = level[r >> 1]
+        if vc2 == TRUE:
+            if level[c2 >> 1] > lvl_r and lazy_lvl[c2 >> 1] > lvl_r:
+                st.set_lazy(c2, clause)
+                if prop.stats is not None:
+                    prop.stats.mli_detected += 1
+            continue
+        st.enqueue_implied(c2, clause, lvl_r)
+    del watchers[j:]
+    return None
+
+
+def reference_bcp(prop, on_pop=None):
+    st = prop.state
+    stats = prop.stats
+    while st.head < len(st.trail):
+        conflict = reference_propagate_literal(prop, st.trail[st.head])
+        if conflict is not None:
+            return conflict
+        st.pop_next()
+        if stats is not None:
+            stats.propagations += 1
+        if on_pop is not None:
+            on_pop()
+    return None
+
+
+def kernel_snapshot(solver, conflict):
+    """Everything a bcp call can touch, with clauses named by index."""
+    st = solver.state
+
+    def name(c):
+        return None if c is None else c.index
+
+    return (
+        name(conflict),
+        list(st.trail),
+        st.head,
+        list(st.level),
+        list(st.pos),
+        [name(c) for c in st.reason],
+        list(st.saved_phase),
+        [name(c) for c in st.lazy_cl],
+        list(st.lazy_lvl),
+        [(c.w0, c.w1, c.search_pos, c.blocker) for c in solver.formula.clauses],
+        [[c.index for c in bucket] for bucket in solver.prop.wl],
+        solver.stats.as_dict(),
+        dict(solver.violations),
+    )
+
+
+def recorded_solve(formula, cfg, kernel, traced):
+    """Solve with ``kernel(prop, on_pop)`` as the solver's bcp; returns the
+    verdict, a snapshot after every bcp call and the trace events."""
+    events = []
+    solver = Solver(formula, cfg, trace=events.append if traced else None)
+    snaps = []
+
+    def run(on_pop=None):
+        conflict = kernel(solver.prop, on_pop)
+        snaps.append(kernel_snapshot(solver, conflict))
+        return conflict
+
+    solver.prop.bcp = run
+    verdict = solver.solve()
+    return verdict.sat, snaps, events
+
+
+def test_bcp_matches_reference_kernel():
+    # check_level "off" without a trace runs bcp's inline path; "fine" with
+    # a trace runs its hooked path (checked asserts, trace events, on_pop)
+    paths = (("off", False), ("fine", True))
+    totals = {path: 0 for path in paths}
+    mli = 0
+    for mode, blockers, (check_level, traced), (n, m, seed) in itertools.product(
+        MODES, (False, True), paths, ((30, 128, 0), (30, 128, 1), (50, 218, 2))
+    ):
+        case = (mode, blockers, check_level, n, seed)
+        cfg = SolverConfig(mode=mode, cb_threshold=1, blockers=blockers, check_level=check_level)
+        f = random_3sat(n, m, seed)
+        want = recorded_solve(f.copy(), cfg, reference_bcp, traced)
+        got = recorded_solve(f.copy(), cfg, Propagator.bcp, traced)
+        assert got[0] == want[0], case
+        assert len(got[1]) == len(want[1]), case
+        for k, (g, w) in enumerate(zip(got[1], want[1])):
+            assert g == w, (case, k)
+        assert got[2] == want[2], case
+        totals[(check_level, traced)] += len(got[1])
+        mli += got[1][-1][11]["mli_detected"]
+    assert all(n > 1000 for n in totals.values()), totals
+    assert mli > 0

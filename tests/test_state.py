@@ -11,24 +11,24 @@ def lit(n):
 
 def test_value_fresh_state():
     st = TrailState(4)
-    assert st.value(lit(1)) == UNDEF
-    assert st.lit_level(lit(1)) == INF
+    assert st.val[lit(1)] == UNDEF
+    assert st.level[lit(1) >> 1] == INF
 
 
 def test_value_on_replay_trail():
     out = s1_replay("lscb")
     st = out["rig"].state
-    assert st.value(lit(-3)) == TRUE
-    assert st.value(lit(3)) == FALSE
+    assert st.val[lit(-3)] == TRUE
+    assert st.val[lit(3)] == FALSE
 
 
 def test_enqueue_decision_levels():
     st = TrailState(4)
     st.enqueue_decision(lit(1))
-    assert st.lit_level(lit(1)) == 1
+    assert st.level[lit(1) >> 1] == 1
     assert st.pos[1] == 0
     st.enqueue_decision(lit(2))
-    assert st.lit_level(lit(2)) == 2
+    assert st.level[lit(2) >> 1] == 2
     assert len(st.decisions) == 2
 
 
@@ -44,7 +44,7 @@ def test_enqueue_implied_root_unit_level_zero():
     unit = f.add_clause([1])
     st = TrailState(2, checked=True)
     st.enqueue_implied(lit(1), unit, 0)
-    assert st.lit_level(lit(1)) == 0
+    assert st.level[lit(1) >> 1] == 0
     assert st.reason[1] is unit
 
 
