@@ -18,7 +18,7 @@ from .formula import (
     write_dimacs,
 )
 from .propagate import Propagator
-from .solver import Solver, SolverConfig, Stats, Verdict, choose_backtrack_level, solve_formula
+from .solver import Solver, SolverConfig, Stats, Verdict, choose_backtrack_level
 from .state import FALSE, INF, TRUE, UNDEF, TrailState
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "minimize",
     "parse_dimacs",
     "resolve",
-    "solve_formula",
     "write_dimacs",
 ]
 

@@ -24,7 +24,7 @@ from heapq import heappush
 from .state import INF, UNDEF
 
 
-def backtrack(state, d, mode, stats=None):
+def backtrack(state, d, mode, stats):
     """Undo the trail down to level d (which must be below the current level).
 
     Every literal before the decision that opened level d + 1 has a level
@@ -38,10 +38,9 @@ def backtrack(state, d, mode, stats=None):
     pos = st.pos
     old_level = len(st.decisions)
     order = st.order
-    if order is not None:
-        heap = order.heap
-        queued = order.queued
-        activity = order.activity
+    heap = order.heap
+    queued = order.queued
+    activity = order.activity
 
     start = pos[st.decisions[d] >> 1]
     # rscb rewinds the head to the start; elsewhere kept literals keep their side of it
@@ -69,7 +68,7 @@ def backtrack(state, d, mode, stats=None):
         level[v] = INF
         pos[v] = -1
         st.reason[v] = None
-        if order is not None and not queued[v]:
+        if not queued[v]:
             queued[v] = True
             heappush(heap, (-activity[v], v))
     removed = len(trail) - w
@@ -97,5 +96,4 @@ def backtrack(state, d, mode, stats=None):
         unassigned = [x for x in clause.lits if val[x] == UNDEF]
         assert len(unassigned) == 1, "a stored MLI must be unit after backtracking"
         st.enqueue_implied(unassigned[0], clause, lvl, kind="reimply")
-        if stats is not None:
-            stats.reimplications += 1
+        stats.reimplications += 1

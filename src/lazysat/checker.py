@@ -176,21 +176,3 @@ def check_ids(state, formula, ids, blockers=False):
                 )
 
     return out
-
-
-def state_hash(state, formula):
-    """Order-sensitive digest of the live solver state, for purity checks."""
-    clause_part = tuple(
-        (c.index, c.w0, c.w1, c.blocker, c.search_pos, tuple(c.lits)) for c in formula.clauses
-    )
-    var_part = tuple(
-        (
-            state.level[v],
-            state.pos[v],
-            state.reason[v].index if state.reason[v] is not None else -1,
-            state.lazy_cl[v].index if state.lazy_cl[v] is not None else -1,
-            state.lazy_lvl[v],
-        )
-        for v in range(1, state.num_vars + 1)
-    )
-    return hash((tuple(state.trail), state.head, tuple(state.decisions), var_part, clause_part))

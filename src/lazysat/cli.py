@@ -10,13 +10,14 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
 from .checker import ALL_INVARIANTS
 from .formula import DimacsError, parse_dimacs, write_dimacs
 from .solver import CHECK_LEVELS, MODES, RESTARTS, Solver, SolverConfig, Stats
-from .testkit import load_dimacs_dir, random_3sat, satlib_clause_count
+from .testkit import random_3sat, satlib_clause_count
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -163,8 +164,6 @@ def cmd_solve(args):
 
 
 def cmd_gen(args):
-    import os
-
     if args.count < 0:
         print("error: --count must be at least 0, got %d" % args.count, file=sys.stderr)
         return EXIT_ERROR
@@ -183,6 +182,19 @@ def cmd_gen(args):
             fh.write(text)
     print("generated %d instances in %s" % (args.count, args.out_dir))
     return 0
+
+
+def load_dimacs_dir(path):
+    """All .cnf files under a directory, sorted by name; ValueError names a malformed one."""
+    out = []
+    for name in sorted(os.listdir(path)):
+        if name.endswith(".cnf"):
+            try:
+                with open(os.path.join(path, name)) as fh:
+                    out.append((name, parse_dimacs(fh.read())))
+            except ValueError as exc:  # malformed DIMACS or undecodable text
+                raise ValueError("%s: %s" % (name, exc)) from None
+    return out
 
 
 def bench_rows(instances, modes, args):
@@ -282,7 +294,7 @@ def cmd_bench(args):
     if args.dir is not None:
         try:
             loaded = load_dimacs_dir(args.dir)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_ERROR
         for name, formula in loaded:

@@ -44,9 +44,6 @@ class Clause:
     def to_ints(self):
         return [lit_to_int(x) for x in self.lits]
 
-    def __len__(self):
-        return len(self.lits)
-
     def __repr__(self):
         kind = "L" if self.learned else "C"
         return "%s%d(%s)" % (kind, self.index, " ".join(str(i) for i in self.to_ints()))
@@ -74,7 +71,7 @@ class Formula:
         self.root_units: list[Clause] = []
         self.trivially_unsat = False
 
-    def add_clause(self, ints, learned=False):
+    def add_clause(self, ints):
         """Store a clause given as signed integers and return its reference.
 
         Duplicate literals collapse; a clause containing a complementary
@@ -97,7 +94,7 @@ class Formula:
         if not lits:
             self.trivially_unsat = True
             return None
-        return self.store(lits, learned)
+        return self.store(lits)
 
     def store(self, lits, learned=False):
         """Append a clause given as encoded literals, which must be distinct,

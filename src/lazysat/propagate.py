@@ -29,7 +29,7 @@ from .state import FALSE, TRUE
 
 
 class Propagator:
-    def __init__(self, formula, state, mode="lscb", stats=None, blockers=False):
+    def __init__(self, formula, state, mode, stats, blockers=False):
         self.formula = formula
         self.state = state
         self.lazy_mode = mode == "lscb"
@@ -207,15 +207,13 @@ class Propagator:
                         i += 1
                     del watchers[j:]
                     st.head = head
-                    if stats is not None:
-                        stats.propagations += props
+                    stats.propagations += props
                     return clause
                 lvl_r = level[r >> 1]
                 if vc2 == TRUE:
                     if level[c2 >> 1] > lvl_r and lazy_lvl[c2 >> 1] > lvl_r:
                         st.set_lazy(c2, clause)
-                        if stats is not None:
-                            stats.mli_detected += 1
+                        stats.mli_detected += 1
                     continue
                 if hooked:
                     st.enqueue_implied(c2, clause, lvl_r)
@@ -238,6 +236,5 @@ class Propagator:
                 st.head = head
                 on_pop()
         st.head = head
-        if stats is not None:
-            stats.propagations += props
+        stats.propagations += props
         return None

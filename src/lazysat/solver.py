@@ -393,7 +393,7 @@ class Solver:
                         "kind": "conflict",
                         # None for a re-falsified learned clause (a literal list)
                         "clause": conflict.index if isinstance(conflict, Clause) else None,
-                        "level": st.decision_level(),
+                        "level": len(st.decisions),
                     }
                 )
             learned = run_analysis(st, conflict, cfg.analyze)
@@ -426,10 +426,3 @@ class Solver:
     def _model(self):
         val = self.state.val
         return {v: val[v << 1] == TRUE for v in range(1, self.formula.num_vars + 1)}
-
-
-def solve_formula(formula, cfg=None, trace=None):
-    """Convenience wrapper: one-shot solve returning (verdict, stats)."""
-    solver = Solver(formula, cfg, trace=trace)
-    verdict = solver.solve()
-    return verdict, solver.stats

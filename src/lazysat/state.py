@@ -39,20 +39,6 @@ class TrailState:
 
     # -- queries ---------------------------------------------------------
 
-    def decision_level(self):
-        return len(self.decisions)
-
-    def lazy(self, lit):
-        """The stored MLI clause for lit, or None; only the satisfied polarity has one."""
-        if self.val[lit] == TRUE:
-            return self.lazy_cl[lit >> 1]
-        return None
-
-    def lazy_level(self, lit):
-        if self.val[lit] == TRUE:
-            return self.lazy_lvl[lit >> 1]
-        return INF
-
     def residual_level(self, lits, lit):
         """Max level over the literals other than lit; 0 for an empty rest."""
         level = self.level
@@ -63,9 +49,6 @@ class TrailState:
                 if lx > best:
                     best = lx
         return best
-
-    def trail_ints(self):
-        return [lit_to_int(x) for x in self.trail]
 
     # -- transitions -----------------------------------------------------
 

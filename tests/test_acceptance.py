@@ -12,15 +12,8 @@ from lazysat.checker import check
 from lazysat.cli import render_bench_csv
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import FALSE
-from lazysat.testkit import (
-    LockstepRunner,
-    brute_force,
-    entails,
-    random_3sat,
-    s1_replay,
-    s2_replay,
-    satlib_clause_count,
-)
+from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
+from support import LockstepRunner, entails, s1_replay, s2_replay
 
 # Sizes span the 20-60 variable band at the SATLIB clause ratio.
 ORACLE_SIZES = ((20, 600), (30, 500), (40, 400), (50, 300), (60, 200))

@@ -4,13 +4,11 @@ from collections import Counter
 from lazysat.analyze import LearnedClause, analyze, minimize, resolve
 from lazysat.backtrack import backtrack
 from lazysat.formula import Clause, Formula, lit_from_int, lit_to_int
+from lazysat.formula import lit_from_int as lit
 from lazysat.solver import MODES, Solver, SolverConfig
 from lazysat.state import FALSE, TrailState
-from lazysat.testkit import entails, random_3sat, s2_replay
-
-
-def lit(n):
-    return lit_from_int(n)
+from lazysat.testkit import random_3sat
+from support import entails, s2_replay
 
 
 def lits(*ns):
@@ -303,6 +301,6 @@ def test_analyze_equivalence_on_random_instances():
 
 def run_lockstep(formula):
     """Twin-run both analysis strategies episode by episode; compare installs."""
-    from lazysat.testkit import LockstepRunner
+    from support import LockstepRunner
 
     return LockstepRunner(formula).run()

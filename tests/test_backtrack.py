@@ -4,14 +4,10 @@ import pytest
 
 import lazysat.solver as solver_module
 from lazysat.backtrack import backtrack
-from lazysat.formula import lit_from_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import UNDEF
-from lazysat.testkit import random_3sat, s1_replay, satlib_clause_count
-
-
-def lit(n):
-    return lit_from_int(n)
+from lazysat.testkit import random_3sat, satlib_clause_count
+from support import s1_replay
 
 
 def test_wcb_keeps_low_literals_without_repair():
@@ -61,7 +57,7 @@ def test_backtrack_contract_requires_lower_level():
     out = s1_replay("lscb")
     rig = out["rig"]
     with pytest.raises(AssertionError):
-        backtrack(rig.state, rig.state.decision_level(), rig.mode)
+        backtrack(rig.state, len(rig.state.decisions), rig.mode, rig.stats)
 
 
 def _run_with_backtrack_spy(mode, seed, spy, n=16):

@@ -1,8 +1,9 @@
-from lazysat.checker import ALL_INVARIANTS, Violation, check, check_ids, state_hash
+from lazysat.checker import ALL_INVARIANTS, Violation, check, check_ids
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import INF, TRUE, UNDEF, TrailState
-from lazysat.testkit import random_3sat, s1_replay
+from lazysat.testkit import random_3sat
+from support import s1_replay, state_hash
 
 
 def test_wcb_replay_violates_strong_watches_only():
@@ -23,7 +24,7 @@ def test_lscb_replay_keeps_lazy_invariants():
     # backtrack and reimplication (a pending conflict legitimately breaks
     # the clause invariants, hence the checker's quiescence precondition)
     from lazysat.formula import lit_from_int
-    from lazysat.testkit import Rig, force_watch_order, s1_formula
+    from support import Rig, force_watch_order, s1_formula
 
     rig = Rig(s1_formula(), mode="lscb")
     rig.decide(1)

@@ -6,7 +6,8 @@ import sys
 import lazysat
 from lazysat.cli import main
 from lazysat.formula import parse_dimacs, write_dimacs
-from lazysat.testkit import random_3sat, s1_formula
+from lazysat.testkit import random_3sat
+from support import s1_formula
 
 
 def write_cnf(path, formula):
@@ -152,6 +153,16 @@ def test_bench_from_directory(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len([l for l in lines[1:] if not l.startswith("summary:")]) == 4
     assert len([l for l in lines[1:] if l.startswith("summary:")]) == 4
+
+
+def test_bench_dir_malformed_file_is_input_error(tmp_path, capsys):
+    d = tmp_path / "cnf"
+    d.mkdir()
+    (d / "a.cnf").write_text("p cnf 2 1\n1 x 0\n")
+    assert main(["bench", "--dir", str(d)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a.cnf: line 2: non-integer token 'x'\n"
 
 
 def test_bench_rejects_unknown_mode(capsys):

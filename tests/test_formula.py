@@ -98,7 +98,7 @@ def test_clause_references_stable_across_learned_insertion():
     f = Formula(4)
     refs = [f.add_clause([1, 2]), f.add_clause([-1, 3])]
     for i in range(50):
-        f.add_clause([2, 3, 4], learned=True)
+        f.store([lit_from_int(2), lit_from_int(3), lit_from_int(4)], learned=True)
     assert f.clauses[0] is refs[0] and f.clauses[1] is refs[1]
 
 

@@ -1,15 +1,13 @@
 import itertools
 import random
 
-from lazysat.formula import Formula, lit_from_int, lit_to_int
+from lazysat.formula import Formula, lit_to_int
+from lazysat.formula import lit_from_int as lit
 from lazysat.propagate import Propagator
 from lazysat.solver import MODES, Solver, SolverConfig, Stats
 from lazysat.state import FALSE, TRUE, TrailState
-from lazysat.testkit import random_3sat, s1_replay, s2_replay
-
-
-def lit(n):
-    return lit_from_int(n)
+from lazysat.testkit import random_3sat
+from support import s1_replay, s2_replay
 
 
 def make_rig(num_vars, clause_ints, mode="lscb"):

@@ -4,22 +4,17 @@ import itertools
 import pytest
 
 from lazysat.analyze import LearnedClause
-from lazysat.formula import Formula, lit_from_int, lit_to_int
-from lazysat.solver import Solver, SolverConfig, choose_backtrack_level, solve_formula
+from lazysat.formula import Formula, lit_to_int
+from lazysat.formula import lit_from_int as lit
+from lazysat.solver import Solver, SolverConfig, choose_backtrack_level
+from lazysat.solver import SolverConfig as cfg
 from lazysat.state import UNDEF
-from lazysat.testkit import brute_force, random_3sat, s1_formula, satlib_clause_count
-
-
-def lit(n):
-    return lit_from_int(n)
-
-
-def cfg(**kw):
-    return SolverConfig(**kw)
+from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
+from support import s1_formula
 
 
 def test_empty_formula_is_sat():
-    verdict, stats = solve_formula(Formula(0))
+    verdict = Solver(Formula(0)).solve()
     assert verdict.sat and verdict.model == {}
 
 
@@ -27,15 +22,16 @@ def test_contradictory_units_unsat():
     f = Formula(1)
     f.add_clause([1])
     f.add_clause([-1])
-    verdict, _ = solve_formula(f)
+    verdict = Solver(f).solve()
     assert not verdict.sat
 
 
 def test_trivially_unsat_short_circuits():
     f = Formula(1)
     f.add_clause([])
-    verdict, stats = solve_formula(f)
-    assert not verdict.sat and stats.propagations == 0
+    s = Solver(f)
+    verdict = s.solve()
+    assert not verdict.sat and s.stats.propagations == 0
 
 
 def test_config_validation():
@@ -98,7 +94,7 @@ def test_decide_phase_saving_follows_last_assignment():
     s.state.enqueue_decision(lit(1))
     from lazysat.backtrack import backtrack
 
-    backtrack(s.state, 0, "lscb")
+    backtrack(s.state, 0, "lscb", s.stats)
     assert lit_to_int(s.decide()) == 1  # saved positive phase
 
 
@@ -270,7 +266,7 @@ def test_agility_restarts_wait_for_a_conflict():
 
 def test_install_learned_binary_watches_both():
     f = s1_formula()
-    from lazysat.testkit import Rig
+    from support import Rig
 
     rig = Rig(f, mode="lscb")
     rig.decide(1)

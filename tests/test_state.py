@@ -1,12 +1,9 @@
 import pytest
 
-from lazysat.formula import Formula, lit_from_int
+from lazysat.formula import Formula
+from lazysat.formula import lit_from_int as lit
 from lazysat.state import FALSE, INF, TRUE, UNDEF, TrailState
-from lazysat.testkit import s1_replay
-
-
-def lit(n):
-    return lit_from_int(n)
+from support import s1_replay
 
 
 def test_value_fresh_state():
@@ -84,8 +81,9 @@ def test_trail_order_preserved_by_pops():
 def test_set_lazy_fresh_literal_defaults():
     st = TrailState(3)
     st.enqueue_decision(lit(1))
-    assert st.lazy(lit(1)) is None
-    assert st.lazy_level(lit(1)) == INF
+    assert st.val[lit(1)] == TRUE
+    assert st.lazy_cl[1] is None
+    assert st.lazy_lvl[1] == INF
 
 
 def test_set_lazy_records_and_improves():
@@ -100,11 +98,12 @@ def test_set_lazy_records_and_improves():
     st.enqueue_decision(lit(3))
     st.enqueue_decision(lit(4))
     st.set_lazy(lit(4), m1)
-    assert st.lazy(lit(4)) is m1
-    assert st.lazy_level(lit(4)) == st.residual_level(m1.lits, lit(4)) == 2
+    assert st.val[lit(4)] == TRUE
+    assert st.lazy_cl[4] is m1
+    assert st.lazy_lvl[4] == st.residual_level(m1.lits, lit(4)) == 2
     st.set_lazy(lit(4), m2)
-    assert st.lazy(lit(4)) is m2
-    assert st.lazy_level(lit(4)) == st.residual_level(m2.lits, lit(4)) == 1
+    assert st.lazy_cl[4] is m2
+    assert st.lazy_lvl[4] == st.residual_level(m2.lits, lit(4)) == 1
     # a worse candidate is a contract violation in checked mode
     with pytest.raises(AssertionError):
         st.set_lazy(lit(4), m1)
@@ -124,7 +123,7 @@ def test_s1_replay_trail_values():
     st = out["rig"].state
     # at the second conflict the queue still holds the pending literals
     assert out["snap_second_conflict"]["head"] == 3
-    assert st.trail_ints() != []
+    assert st.trail != []
 
 
 def test_implied_level_is_max_over_reason_rest():

@@ -1,17 +1,21 @@
-from lazysat.formula import Formula, write_dimacs
+import ast
+import itertools
+
+import pytest
+
+import lazysat.testkit
+from lazysat.cli import load_dimacs_dir
+from lazysat.formula import Formula, lit_to_int, write_dimacs
 from lazysat.solver import Solver, SolverConfig
-from lazysat.testkit import (
+from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
+from support import (
     LockstepRunner,
-    brute_force,
     entails,
-    load_dimacs_dir,
-    random_3sat,
     replay_trace,
     s1_formula,
     s1_replay,
     s2_formula,
     s2_replay,
-    satlib_clause_count,
     truth_table_sat,
 )
 
@@ -144,19 +148,47 @@ def test_lockstep_runner_shapes():
     assert out["synced_episodes"] >= 0
 
 
+# Every event kind the README's trace section lists.
+TRACE_KINDS = {"decide", "imply", "pop", "set_lazy", "backtrack", "reimply", "conflict"}
+TRACE_KINDS |= {"resolve", "learn", "restart", "result"}
+
+
 def test_trace_replay_reconstructs_final_trail():
     reimplications = 0
-    for mode in ("ncb", "wcb", "rscb", "lscb"):
-        for seed in (3, 9, 17):
-            events = []
-            f = random_3sat(20, 91, seed)
-            s = Solver(
-                f.copy(), SolverConfig(mode=mode, cb_threshold=1), trace=events.append
-            )
-            s.solve()
-            reimplications += s.stats.reimplications
-            trail, head = replay_trace(events)
-            want = [(n, s.state.level[abs(n)]) for n in s.state.trail_ints()]
-            assert trail == want
-            assert head == s.state.head
+    kinds = set()
+    refalsified = 0
+    # extras: blockers and minimization; seed 18 re-falsifies a learned
+    # clause under lscb with analyze 1, which gives a null conflict clause
+    grid = itertools.product(("ncb", "wcb", "rscb", "lscb"), (2, 1), (False, True), (3, 9, 17, 18))
+    for mode, analyze, extras, seed in grid:
+        events = []
+        f = random_3sat(20, 91, seed)
+        cfg = SolverConfig(mode, analyze, cb_threshold=1, minimize=extras, blockers=extras)
+        s = Solver(f.copy(), cfg, trace=events.append)
+        s.solve()
+        reimplications += s.stats.reimplications
+        trail, head = replay_trace(events)
+        want = [(lit_to_int(x), s.state.level[x >> 1]) for x in s.state.trail]
+        assert trail == want
+        assert head == s.state.head
+        kinds.update(e["kind"] for e in events)
+        refalsified += any(e["kind"] == "conflict" and e["clause"] is None for e in events)
     assert reimplications > 0  # the soak must cover the reimply event path
+    assert refalsified > 0
+    assert kinds >= TRACE_KINDS - {"restart"}
+    with pytest.raises(ValueError):
+        replay_trace([{"kind": "no-such-event"}])
+
+
+def test_testkit_imports_only_formula_from_the_package():
+    # The oracle must stay an independent code path: it may share the
+    # Formula type with the solver and nothing else.
+    with open(lazysat.testkit.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported if name.startswith((".", "lazysat"))} == {".formula"}
