@@ -29,20 +29,22 @@ def backtrack(state, d, mode, stats):
 
     Every literal before the decision that opened level d + 1 has a level
     of at most d, so only the trail from there on is scanned and compacted.
+    That decision is found by its value: a literal is on the trail at most
+    once, and compaction only moves literals at or after the first removed
+    decision, so no earlier decision ever moves.
     """
     st = state
     assert d < len(st.decisions), "backtrack target must be below the current level"
     trail = st.trail
     level = st.level
     val = st.val
-    pos = st.pos
     old_level = len(st.decisions)
     order = st.order
     heap = order.heap
     queued = order.queued
     activity = order.activity
 
-    start = pos[st.decisions[d] >> 1]
+    start = trail.index(st.decisions[d])
     # rscb rewinds the head to the start; elsewhere kept literals keep their side of it
     head_cut = start if mode == "rscb" else st.head
     new_head = start if start < head_cut else head_cut
@@ -55,7 +57,6 @@ def backtrack(state, d, mode, stats):
             if p < head_cut:
                 new_head += 1
             trail[w] = lit
-            pos[v] = w
             w += 1
             continue
         if st.lazy_cl[v] is not None:
@@ -66,7 +67,6 @@ def backtrack(state, d, mode, stats):
         val[lit] = UNDEF
         val[lit ^ 1] = UNDEF
         level[v] = INF
-        pos[v] = -1
         st.reason[v] = None
         if not queued[v]:
             queued[v] = True

@@ -19,9 +19,11 @@ watch orientation whose other watch is satisfied at or below the falsified
 one's level (that alone satisfies 1, 4, 5, 7 and 8), before it builds any
 detail; the detail string is formatted only for a reported violation.
 
-Checks are read-only, O(total clause size), and expect a quiescent state:
-a pending conflict legitimately violates 4/5/7 on the conflicting clause
-until backtracking and learned-clause installation finish.
+Checks are read-only and O(total clause size).  Trail positions, which
+1, 3, 4, 5, 7 and 8 compare, are derived by one pass over the trail when
+one of those is requested.  Checks expect a quiescent state: a pending
+conflict legitimately violates 4/5/7 on the conflicting clause until
+backtracking and learned-clause installation finish.
 """
 
 from __future__ import annotations
@@ -60,10 +62,14 @@ def check_ids(state, formula, ids, blockers=False):
     inv8 = 8 in want and blockers  # not applicable without blocker maintenance
     val = state.val
     level = state.level
-    pos = state.pos
     head = state.head
+    clause_scan = inv1 or inv4 or inv5 or inv7 or inv8
+    if clause_scan or 3 in want:
+        pos = [-1] * (state.num_vars + 1)  # trail index per variable, -1 if unassigned
+        for p, lit in enumerate(state.trail):
+            pos[lit >> 1] = p
 
-    if inv1 or inv4 or inv5 or inv7 or inv8:
+    if clause_scan:
         lazy_cl = state.lazy_cl
         for clause in formula.clauses:
             lits = clause.lits

@@ -15,7 +15,7 @@ import sys
 import time
 
 from .checker import ALL_INVARIANTS
-from .formula import DimacsError, parse_dimacs, write_dimacs
+from .formula import parse_dimacs, write_dimacs
 from .solver import CHECK_LEVELS, MODES, RESTARTS, Solver, SolverConfig, Stats
 from .testkit import random_3sat, satlib_clause_count
 
@@ -106,17 +106,23 @@ def make_trace_writer(fh):
     return emit
 
 
+def read_dimacs(path, name):
+    """Read and parse one DIMACS file; a ValueError names it as ``name``.
+
+    Both malformed DIMACS and text that does not decode are ValueErrors.
+    """
+    try:
+        with open(path) as fh:
+            return parse_dimacs(fh.read())
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (name, exc)) from None
+
+
 def cmd_solve(args):
     try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except OSError as exc:
+        formula = read_dimacs(args.file, args.file)
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        formula = parse_dimacs(text)
-    except DimacsError as exc:
-        print("error: %s: %s" % (args.file, exc), file=sys.stderr)
         return EXIT_ERROR
     try:
         cfg = _config_from(args)
@@ -189,11 +195,7 @@ def load_dimacs_dir(path):
     out = []
     for name in sorted(os.listdir(path)):
         if name.endswith(".cnf"):
-            try:
-                with open(os.path.join(path, name)) as fh:
-                    out.append((name, parse_dimacs(fh.read())))
-            except ValueError as exc:  # malformed DIMACS or undecodable text
-                raise ValueError("%s: %s" % (name, exc)) from None
+            out.append((name, read_dimacs(os.path.join(path, name), name)))
     return out
 
 

@@ -27,7 +27,8 @@ class Clause:
 
     ``w0``/``w1`` are indices into ``lits``.  Unit clauses are never watched,
     so their slots are meaningless.  ``search_pos`` is the rotating start
-    index for replacement scans during propagation.
+    index for replacement scans during propagation; only clauses longer than
+    three use it, since a ternary clause has a single candidate.
     """
 
     __slots__ = ("lits", "w0", "w1", "blocker", "learned", "index", "search_pos")

@@ -20,7 +20,8 @@ lazy mode because the classical skip fires first.
 A ternary clause has exactly one replacement candidate, the literal in
 neither watch slot, so its visits resolve the replacement in place;
 ``_search_idx`` scans every other clause length and is the reference the
-in-place answer agrees with.
+in-place answer agrees with.  Only ``_search_idx`` reads a clause's rotating
+``search_pos``, so the ternary path leaves it alone.
 """
 
 from __future__ import annotations
@@ -136,7 +137,6 @@ class Propagator:
         val = st.val
         level = st.level
         lazy_lvl = st.lazy_lvl
-        pos = st.pos
         reason = st.reason
         saved_phase = st.saved_phase
         trail = st.trail
@@ -179,9 +179,7 @@ class Propagator:
                     # it is falsified below c1 (a level tie moves off c1)
                     ridx = 3 - clause.w0 - clause.w1
                     r = lits[ridx]
-                    if val[r] != FALSE:
-                        clause.search_pos = ridx
-                    elif level[r >> 1] < lvl_c1:
+                    if val[r] == FALSE and level[r >> 1] < lvl_c1:
                         r = c1
                 else:
                     ridx = self._search_idx(clause, c1, c2)
@@ -212,7 +210,7 @@ class Propagator:
                 lvl_r = level[r >> 1]
                 if vc2 == TRUE:
                     if level[c2 >> 1] > lvl_r and lazy_lvl[c2 >> 1] > lvl_r:
-                        st.set_lazy(c2, clause)
+                        st.set_lazy(c2, clause, lvl_r)
                         stats.mli_detected += 1
                     continue
                 if hooked:
@@ -222,7 +220,6 @@ class Propagator:
                 val[c2] = TRUE
                 val[c2 ^ 1] = FALSE
                 level[v] = lvl_r
-                pos[v] = len(trail)
                 reason[v] = clause
                 saved_phase[v] = c2 & 1
                 trail.append(c2)

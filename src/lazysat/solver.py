@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop
 
 from . import checker
 from .analyze import analyze as run_analysis
@@ -104,10 +104,6 @@ class DecisionOrder:
         self.queued = [False] + [True] * n
         self.limit = 2 * n  # rebuild past this many entries so stale ones cannot pile up
 
-    def push(self, v):
-        self.queued[v] = True
-        heappush(self.heap, (-self.activity[v], v))
-
     def rebuild(self, val):
         """One current entry per variable unassigned under ``val``, and nothing else."""
         activity = self.activity
@@ -159,7 +155,6 @@ class Solver:
         self.formula = formula
         self.cfg = cfg or SolverConfig()
         self.stats = Stats()
-        self.trace = trace
         checked = self.cfg.check_level != "off"
         self.state = TrailState(formula.num_vars, checked=checked, trace=trace)
         self.prop = Propagator(
@@ -175,7 +170,6 @@ class Solver:
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
         self._solved = False
         self._fine = self.cfg.check_level == "fine"  # check after every pop
-        self.verdict = None
         if self.cfg.restarts == "agility":
             self.state.on_assign = self._agility
 
@@ -185,10 +179,6 @@ class Solver:
     def agility(self):
         """Current agility average; restarts fire when it sinks below the limit."""
         return self._agility.value
-
-    def _emit(self, event):
-        if self.trace is not None:
-            self.trace(event)
 
     def _checkpoint(self):
         if self.cfg.check_level == "off":
@@ -228,22 +218,19 @@ class Solver:
         inc = self.var_inc
         activity = self.activity
         order = self.order
-        val = self.state.val
+        queued = order.queued
         rescaled = False
         for x in lits:
             v = x >> 1
             activity[v] += inc
             if activity[v] > VSIDS_RESCALE:
                 rescaled = True
-            if val[x] == UNDEF:
-                order.push(v)
-            else:
-                order.queued[v] = False  # backtracking requeues it at the new activity
+            queued[v] = False  # assigned until the backtrack, which requeues it
         if rescaled:
             for v in range(1, self.formula.num_vars + 1):
                 activity[v] *= 1.0 / VSIDS_RESCALE
             self.var_inc *= 1.0 / VSIDS_RESCALE
-            order.rebuild(val)
+            order.rebuild(self.state.val)
         self.var_inc /= self.cfg.vsids_decay
 
     def maybe_restart(self):
@@ -266,7 +253,8 @@ class Solver:
         self.stats.restarts += 1
         self._restart_conflicts = self.stats.conflicts
         self._agility.value = 1.0
-        self._emit({"kind": "restart", "count": self.stats.restarts})
+        if self.state.trace is not None:
+            self.state.trace({"kind": "restart", "count": self.stats.restarts})
         self._checkpoint()
         return True
 
@@ -282,24 +270,20 @@ class Solver:
         st = self.state
         lit = learned.asserting
         assert st.val[lit] == UNDEF, "asserting literal must be unassigned after backtracking"
-        if len(learned.lits) == 1:
-            clause = learned.source
-            if clause is None:
-                clause = self.formula.store(learned.lits, learned=True)
-                self.stats.learned += 1
-        elif learned.source is not None:
+        if learned.source is not None:
+            # a conflict from BCP, so a watched clause of at least two literals
             clause = learned.source
             self.prop.rewatch(clause, lit, self._second_watch_lit(learned))
         else:
             clause = self.formula.store(learned.lits, learned=True)
-            second = self._second_watch_lit(learned)
-            clause.w0 = clause.lits.index(lit)
-            clause.w1 = clause.lits.index(second)
-            self.prop.watch_clause(clause)
             self.stats.learned += 1
+            if len(learned.lits) > 1:
+                clause.w0 = clause.lits.index(lit)
+                clause.w1 = clause.lits.index(self._second_watch_lit(learned))
+                self.prop.watch_clause(clause)
         st.enqueue_implied(lit, clause, learned.second_level)
-        if self.trace is not None:
-            self.trace(
+        if st.trace is not None:
+            st.trace(
                 {
                     "kind": "learn",
                     "clause": clause.index,
@@ -328,8 +312,8 @@ class Solver:
                 verdict = Verdict(True, payload)
             elif kind == "unsat":
                 verdict = Verdict(False)
-        self.verdict = verdict
-        self._emit({"kind": "result", "sat": verdict.sat})
+        if self.state.trace is not None:
+            self.state.trace({"kind": "result", "sat": verdict.sat})
         return verdict
 
     def setup(self):
@@ -384,7 +368,7 @@ class Solver:
         cfg = self.cfg
         st = self.state
         stats = self.stats
-        trace = self.trace
+        trace = st.trace
         while True:
             stats.conflicts += 1
             if trace is not None:

@@ -5,6 +5,10 @@ positions before ``head`` have been propagated, the rest form the pending
 queue.  ``INF`` is the reserved maximal level sentinel: it compares greater
 than every finite level, and is the level of unassigned variables and of
 the undefined clause.
+
+Per variable the state keeps a level, a reason, a stored missed lower
+implication with its cached level and a saved phase.  Trail positions are
+not stored: a literal is on the trail at most once, so readers derive them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ class TrailState:
         self.num_vars = num_vars
         self.val = [UNDEF] * (2 * n)  # per encoded literal
         self.level = [INF] * n  # per variable
-        self.pos = [-1] * n  # per variable: position in trail, -1 if unassigned
         self.reason = [None] * n  # per variable: implying clause or None
         self.lazy_cl = [None] * n  # per variable: stored MLI clause or None
         self.lazy_lvl = [INF] * n  # cached level of lazy_cl minus its satisfied literal
@@ -57,7 +60,6 @@ class TrailState:
         self.val[lit] = TRUE
         self.val[lit ^ 1] = FALSE
         self.level[v] = lvl
-        self.pos[v] = len(self.trail)
         self.reason[v] = reason
         flipped = (lit & 1) != self.saved_phase[v]
         self.saved_phase[v] = lit & 1
@@ -99,15 +101,15 @@ class TrailState:
             self.trace({"kind": "pop", "lit": lit_to_int(lit)})
         return lit
 
-    def set_lazy(self, lit, clause):
-        """Record a new or improved missed lower implication for lit."""
-        lvl = self.residual_level(clause.lits, lit)
+    def set_lazy(self, lit, clause, lvl):
+        """Record a new or improved missed lower implication for lit at level lvl."""
         if self.checked:
             assert self.val[lit] == TRUE, "MLI target must be satisfied"
             assert lit in clause.lits, "MLI clause must contain its literal"
             assert all(
                 self.val[x] == FALSE for x in clause.lits if x != lit
             ), "MLI rest must be falsified"
+            assert lvl == self.residual_level(clause.lits, lit), "MLI level mismatch"
             assert lvl < self.level[lit >> 1], "MLI must be strictly lower than the literal"
             assert lvl < self.lazy_lvl[lit >> 1], "MLI must improve the stored one"
         v = lit >> 1

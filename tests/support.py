@@ -56,9 +56,9 @@ class Rig:
     coarse check level therefore only turns on the trail's contract checks.
     """
 
-    def __init__(self, formula, mode="lscb", checked=True, trace=None):
-        cfg = SolverConfig(mode=mode, cb_threshold=1, check_level="coarse" if checked else "off")
-        self.solver = Solver(formula, cfg, trace=trace)
+    def __init__(self, formula, mode="lscb"):
+        cfg = SolverConfig(mode=mode, cb_threshold=1, check_level="coarse")
+        self.solver = Solver(formula, cfg)
         self.mode = mode
         self.formula = formula
         self.state = self.solver.state
@@ -127,7 +127,7 @@ def s1_formula():
     return f
 
 
-def s1_replay(mode="lscb", strategy=2, trace=None):
+def s1_replay(mode="lscb"):
     """Scripted S1 run; returns the rig plus snapshots of every stage.
 
     Script: decide 1, 2, 3; the third decision conflicts; learn the binary
@@ -136,7 +136,7 @@ def s1_replay(mode="lscb", strategy=2, trace=None):
     until the second conflict; then backtrack to level 1 without analysis
     and propagate again.
     """
-    rig = Rig(s1_formula(), mode=mode, trace=trace)
+    rig = Rig(s1_formula(), mode=mode)
     out = {"rig": rig}
     rig.decide(1)
     assert rig.bcp() is None
@@ -146,7 +146,7 @@ def s1_replay(mode="lscb", strategy=2, trace=None):
     confl = rig.bcp()
     out["first_conflict"] = confl
     out["snap_first_conflict"] = rig.snapshot()
-    learned = rig.analyze(confl, strategy)
+    learned = rig.analyze(confl)
     out["learned1"] = learned
     rig.backtrack(2)
     rig.install(learned)
@@ -184,14 +184,14 @@ def s2_formula():
     return f
 
 
-def s2_replay(trace=None):
+def s2_replay():
     """Scripted S2 state: an out-of-order trail with a stored MLI on -3.
 
     The trail is assembled directly (the watch lists stay at their initial
     first-two assignment), the pending queue is propagated into the shown
     conflict, and both analysis strategies can be run from the result.
     """
-    rig = Rig(s2_formula(), mode="lscb", trace=trace)
+    rig = Rig(s2_formula(), mode="lscb")
     c = rig.formula.clauses
     st = rig.state
     rig.decide(-1)
@@ -202,7 +202,7 @@ def s2_replay(trace=None):
     st.pop_next()
     rig.imply(4, c[6], 1)
     st.pop_next()
-    st.set_lazy(lit_from_int(-3), c[5])
+    st.set_lazy(lit_from_int(-3), c[5], 1)
     rig.imply(-5, c[1], 2)
     rig.imply(-6, c[2], 1)
     rig.imply(7, c[3], 2)
@@ -213,6 +213,14 @@ def s2_replay(trace=None):
     return out
 
 
+def trail_positions(state):
+    """Each variable's index on the trail, -1 when unassigned."""
+    pos = [-1] * (state.num_vars + 1)
+    for p, lit in enumerate(state.trail):
+        pos[lit >> 1] = p
+    return pos
+
+
 def state_hash(state, formula):
     """Order-sensitive digest of the live solver state, for purity checks."""
     clause_part = tuple(
@@ -221,7 +229,6 @@ def state_hash(state, formula):
     var_part = tuple(
         (
             state.level[v],
-            state.pos[v],
             state.reason[v].index if state.reason[v] is not None else -1,
             state.lazy_cl[v].index if state.lazy_cl[v] is not None else -1,
             state.lazy_lvl[v],
@@ -285,31 +292,19 @@ class LockstepRunner:
 
     def run(self):
         s1, s2 = self.solvers
-        out = {
-            "mismatches": [],
-            "synced_episodes": 0,
-            "conflicts1": 0,
-            "conflicts2": 0,
-            "diverged": False,
-        }
+        out = {"mismatches": [], "synced_episodes": 0, "conflicts1": 0, "conflicts2": 0}
         v1 = s1.setup()
         v2 = s2.setup()
         assert (v1 is None) == (v2 is None)
         if v1 is not None:
-            out["verdicts"] = (v1.sat, v2.sat)
             return out
         while True:
             kind1, installed1, conf1, lazy1 = self._next_episode(s1)
             kind2, installed2, conf2, lazy2 = self._next_episode(s2)
             if kind1 != "learn" or kind2 != "learn":
-                sat1 = kind1 == "sat" if kind1 != "learn" else None
-                sat2 = kind2 == "sat" if kind2 != "learn" else None
-                if sat1 is not None and sat2 is not None:
-                    assert sat1 == sat2, "lockstep runs disagree on the verdict"
-                    out["verdicts"] = (sat1, sat2)
-                else:
-                    out["diverged"] = True  # one run finished first
-                break
+                if kind1 != "learn" and kind2 != "learn":
+                    assert kind1 == kind2, "lockstep runs disagree on the verdict"
+                break  # both finished, or one run finished first
             out["synced_episodes"] += 1
             out["conflicts1"] += conf1
             out["conflicts2"] += conf2
@@ -321,13 +316,11 @@ class LockstepRunner:
                     # (individually sound) resolutions; the machines have
                     # diverged, so later conflicts no longer correspond.
                     out["undefined_episodes"] = out.get("undefined_episodes", 0) + 1
-                    out["diverged"] = True
                     break
                 out["mismatches"].append(
                     (sorted(map(lit_to_int, installed1)), sorted(map(lit_to_int, installed2)))
                 )
             if self._machine_hash(s1) != self._machine_hash(s2):
-                out["diverged"] = True
                 break
         return out
 

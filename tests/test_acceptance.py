@@ -203,7 +203,9 @@ def test_propagation_count_trend():
         if probe.solve().sat:
             continue
         count += 1
-        for mode in MODES:
+        # the probe is the ncb run: restarts already default to "off"
+        per["ncb"].append(probe.stats.propagations)
+        for mode in ("wcb", "rscb", "lscb"):
             cfg = SolverConfig(mode=mode, analyze=2, cb_threshold=1, restarts="off")
             s = Solver(f.copy(), cfg)
             verdict = s.solve()

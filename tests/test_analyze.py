@@ -8,7 +8,7 @@ from lazysat.formula import lit_from_int as lit
 from lazysat.solver import MODES, Solver, SolverConfig
 from lazysat.state import FALSE, TrailState
 from lazysat.testkit import random_3sat
-from support import entails, s2_replay
+from support import entails, s2_replay, trail_positions
 
 
 def lits(*ns):
@@ -221,7 +221,7 @@ def reference_analyze(state, conflict, strategy=2):
         d_lits = list(conflict)
         source = None
     level = state.level
-    pos = state.pos
+    pos = trail_positions(state)
     steps = []
     while True:
         dlev = max(level[x >> 1] for x in d_lits)

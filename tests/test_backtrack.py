@@ -5,7 +5,7 @@ import pytest
 import lazysat.solver as solver_module
 from lazysat.backtrack import backtrack
 from lazysat.solver import Solver, SolverConfig
-from lazysat.state import UNDEF
+from lazysat.state import INF, UNDEF
 from lazysat.testkit import random_3sat, satlib_clause_count
 from support import s1_replay
 
@@ -50,7 +50,7 @@ def test_backtrack_clears_removed_bookkeeping():
         if st.val[v << 1] == UNDEF and st.val[(v << 1) | 1] == UNDEF:
             assert st.reason[v] is None
             assert st.lazy_cl[v] is None
-            assert st.pos[v] == -1
+            assert st.level[v] == INF
 
 
 def test_backtrack_contract_requires_lower_level():
@@ -75,6 +75,39 @@ def _run_with_backtrack_spy(mode, seed, spy, n=16):
         return s
     finally:
         solver_module.run_backtrack = orig
+
+
+def test_backtrack_keeps_trail_before_first_removed_decision():
+    # backtrack finds its start by the level-(d + 1) decision's value: every
+    # literal before that decision stays where it is and the kept ones after it
+    # close up behind them, also in the out-of-order trails that chronological
+    # compactions leave behind
+    failures = []
+    after_compaction = dict.fromkeys(("ncb", "wcb", "rscb", "lscb"), 0)
+    compacted = False  # an earlier backtrack of this solve moved a kept literal
+
+    def spy(state, d, mode, stats, orig):
+        nonlocal compacted
+        level = state.level
+        before = list(state.trail)
+        k = next(p for p, x in enumerate(before) if level[x >> 1] > d)
+        assert before[k] == state.decisions[d]
+        kept = [x for x in before[k:] if level[x >> 1] <= d]
+        reimplications = stats.reimplications
+        orig(state, d, mode, stats)
+        added = stats.reimplications - reimplications
+        after = state.trail
+        if after[: k + len(kept)] != before[:k] + kept or len(after) != k + len(kept) + added:
+            failures.append((mode, d, before, list(after)))
+        after_compaction[mode] += compacted
+        compacted = compacted or bool(kept)
+
+    for mode in after_compaction:
+        for seed in range(12):
+            compacted = False
+            _run_with_backtrack_spy(mode, seed, spy)
+    assert failures == []
+    assert all(after_compaction[mode] > 0 for mode in ("wcb", "rscb", "lscb")), after_compaction
 
 
 def test_invariants_2_and_3_hold_after_backtracks():

@@ -3,7 +3,7 @@ from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import INF, TRUE, UNDEF, TrailState
 from lazysat.testkit import random_3sat
-from support import s1_replay, state_hash
+from support import s1_replay, state_hash, trail_positions
 
 
 def test_wcb_replay_violates_strong_watches_only():
@@ -96,7 +96,7 @@ def test_inv6_catches_stale_cache():
     st = TrailState(3)
     st.enqueue_decision(lit_from_int(1))
     st.enqueue_decision(lit_from_int(3))
-    st.set_lazy(lit_from_int(3), mli)
+    st.set_lazy(lit_from_int(3), mli, 1)
     assert check(st, f, 6) == []
     st.lazy_lvl[3] = 0  # corrupt the cache
     assert check(st, f, 6)
@@ -133,7 +133,7 @@ def _reference_clause_scan(state, formula, blockers):
     clause_ids = [1, 4, 5, 7] + ([8] if blockers else [])
     val = state.val
     level = state.level
-    pos = state.pos
+    pos = trail_positions(state)
     head = state.head
     for clause in formula.clauses:
         lits = clause.lits

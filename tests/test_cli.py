@@ -57,6 +57,15 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_undecodable_file_is_input_error(tmp_path, capsys):
+    p = tmp_path / "bin.cnf"
+    p.write_bytes(b"p cnf 1 1\n1 0\n\xff\xfe\n")
+    assert main(["solve", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: %s: " % p), captured.err
+    assert captured.out == ""
+
+
 def test_solve_stats_csv(tmp_path, capsys):
     path = write_cnf(tmp_path / "s1.cnf", s1_formula())
     stats_path = tmp_path / "stats.csv"

@@ -236,7 +236,6 @@ def test_ternary_watch_visit_matches_search_idx():
         conflict = mli = implied_at = None
         if not (c2_true and (mode != "lscb" or level[c2 >> 1] <= lvl_c1)):
             ridx = ref_prop._search_idx(ref, c1, c2)
-            search_pos = ref.search_pos
             r = clause.lits[ridx]
             if r != c1:
                 slots[slots.index(clause.lits.index(c1))] = ridx
@@ -310,9 +309,7 @@ def reference_propagate_literal(prop, lit):
         if len(lits) == 3:
             ridx = 3 - clause.w0 - clause.w1
             r = lits[ridx]
-            if val[r] != FALSE:
-                clause.search_pos = ridx
-            elif level[r >> 1] < lvl_c1:
+            if val[r] == FALSE and level[r >> 1] < lvl_c1:
                 r = c1
         else:
             ridx = prop._search_idx(clause, c1, c2)
@@ -340,7 +337,7 @@ def reference_propagate_literal(prop, lit):
         lvl_r = level[r >> 1]
         if vc2 == TRUE:
             if level[c2 >> 1] > lvl_r and lazy_lvl[c2 >> 1] > lvl_r:
-                st.set_lazy(c2, clause)
+                st.set_lazy(c2, clause, lvl_r)
                 if prop.stats is not None:
                     prop.stats.mli_detected += 1
             continue
@@ -376,7 +373,6 @@ def kernel_snapshot(solver, conflict):
         list(st.trail),
         st.head,
         list(st.level),
-        list(st.pos),
         [name(c) for c in st.reason],
         list(st.saved_phase),
         [name(c) for c in st.lazy_cl],
@@ -425,6 +421,6 @@ def test_bcp_matches_reference_kernel():
             assert g == w, (case, k)
         assert got[2] == want[2], case
         totals[(check_level, traced)] += len(got[1])
-        mli += got[1][-1][11]["mli_detected"]
+        mli += got[1][-1][10]["mli_detected"]
     assert all(n > 1000 for n in totals.values()), totals
     assert mli > 0

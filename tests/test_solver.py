@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from lazysat.analyze import LearnedClause
+from lazysat.backtrack import backtrack
 from lazysat.formula import Formula, lit_to_int
 from lazysat.formula import lit_from_int as lit
 from lazysat.solver import Solver, SolverConfig, choose_backtrack_level
@@ -83,7 +84,11 @@ def test_decide_prefers_bumped_variables():
     f = Formula(4)
     f.add_clause([1, 2])
     s = Solver(f)
+    # the solver's order: a learned clause's literals are assigned when it
+    # bumps them, and the backtrack that follows requeues them
+    s.state.enqueue_decision(lit(-3))
     s._bump_clause([lit(3)])
+    backtrack(s.state, 0, "lscb", s.stats)
     assert lit_to_int(s.decide()) == -3
 
 
@@ -92,8 +97,6 @@ def test_decide_phase_saving_follows_last_assignment():
     f.add_clause([1, 2])
     s = Solver(f)
     s.state.enqueue_decision(lit(1))
-    from lazysat.backtrack import backtrack
-
     backtrack(s.state, 0, "lscb", s.stats)
     assert lit_to_int(s.decide()) == 1  # saved positive phase
 

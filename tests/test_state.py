@@ -23,7 +23,7 @@ def test_enqueue_decision_levels():
     st = TrailState(4)
     st.enqueue_decision(lit(1))
     assert st.level[lit(1) >> 1] == 1
-    assert st.pos[1] == 0
+    assert st.trail[0] == lit(1)
     st.enqueue_decision(lit(2))
     assert st.level[lit(2) >> 1] == 2
     assert len(st.decisions) == 2
@@ -60,8 +60,8 @@ def test_pop_next_moves_head():
     assert st.trail[st.head] == lit(1)
     assert st.pop_next() == lit(1)
     assert st.head == 1
-    assert st.pos[1] < st.head
-    assert not st.pos[2] < st.head
+    assert st.trail.index(lit(1)) < st.head
+    assert not st.trail.index(lit(2)) < st.head
     assert st.pop_next() == lit(2)
     assert st.head == len(st.trail)
     with pytest.raises(AssertionError):
@@ -97,16 +97,18 @@ def test_set_lazy_records_and_improves():
     st.enqueue_decision(lit(2))
     st.enqueue_decision(lit(3))
     st.enqueue_decision(lit(4))
-    st.set_lazy(lit(4), m1)
+    st.set_lazy(lit(4), m1, 2)
     assert st.val[lit(4)] == TRUE
     assert st.lazy_cl[4] is m1
     assert st.lazy_lvl[4] == st.residual_level(m1.lits, lit(4)) == 2
-    st.set_lazy(lit(4), m2)
+    with pytest.raises(AssertionError):
+        st.set_lazy(lit(4), m2, 0)  # not m2's residual level
+    st.set_lazy(lit(4), m2, 1)
     assert st.lazy_cl[4] is m2
     assert st.lazy_lvl[4] == st.residual_level(m2.lits, lit(4)) == 1
     # a worse candidate is a contract violation in checked mode
     with pytest.raises(AssertionError):
-        st.set_lazy(lit(4), m1)
+        st.set_lazy(lit(4), m1, 2)
 
 
 def test_set_lazy_requires_mli_shape():
@@ -115,7 +117,7 @@ def test_set_lazy_requires_mli_shape():
     st = TrailState(3, checked=True)
     st.enqueue_decision(lit(3))
     with pytest.raises(AssertionError):
-        st.set_lazy(lit(3), c)  # rest not falsified
+        st.set_lazy(lit(3), c, st.residual_level(c.lits, lit(3)))  # rest not falsified
 
 
 def test_s1_replay_trail_values():
