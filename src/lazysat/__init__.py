@@ -5,9 +5,9 @@ lscb), two conflict-analysis strategies, an executable invariant checker,
 and a benchmark harness comparing propagation counts across modes.
 """
 
-from .analyze import LearnedClause, analyze, minimize, resolve
+from .analyze import LearnedClause, analyze, minimize
 from .backtrack import backtrack
-from .checker import Violation, check, check_ids
+from .checker import Violation, check_ids
 from .formula import (
     Clause,
     DimacsError,
@@ -39,14 +39,12 @@ __all__ = [
     "Violation",
     "analyze",
     "backtrack",
-    "check",
     "check_ids",
     "choose_backtrack_level",
     "lit_from_int",
     "lit_to_int",
     "minimize",
     "parse_dimacs",
-    "resolve",
     "write_dimacs",
 ]
 

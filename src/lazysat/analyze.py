@@ -29,23 +29,6 @@ class LearnedClause:
     steps: list = field(default_factory=list)  # (pivot trail literal, "reason" | "lazy")
 
 
-def resolve(d_lits, c_lits, pivot):
-    """Binary resolution (D minus not-pivot) union (C' minus pivot), set semantics.
-
-    ``pivot`` is the literal as it occurs in C'; its negation must occur in
-    D.  Order is preserved: D's literals first, then C's new ones.
-    """
-    neg = pivot ^ 1
-    assert neg in d_lits and pivot in c_lits, "resolution pivot missing"
-    out = [x for x in d_lits if x != neg]
-    seen = set(out)
-    for y in c_lits:
-        if y != pivot and y not in seen:
-            seen.add(y)
-            out.append(y)
-    return out
-
-
 def analyze(state, conflict, strategy=2):
     """Run conflict analysis on a fully falsified clause (or literal list).
 
@@ -60,7 +43,8 @@ def analyze(state, conflict, strategy=2):
     trail's end.  A resolved variable never comes back (every literal a
     later step adds is below it or earlier on the trail), so ``lits`` only
     grows and the literals of resolved variables are dropped at the end;
-    what remains is in the order of repeated :func:`resolve` calls.
+    what remains is in the order of repeated binary resolution: the
+    resolvent's literals first, then the reason's new ones.
     """
     if isinstance(conflict, Clause):
         lits = list(conflict.lits)

@@ -20,6 +20,7 @@ order (``state.order``) unless it still has a current entry there.
 from __future__ import annotations
 
 from heapq import heappush
+from operator import itemgetter
 
 from .state import INF, UNDEF
 
@@ -61,7 +62,7 @@ def backtrack(state, d, mode, stats):
             continue
         if st.lazy_cl[v] is not None:
             if st.lazy_lvl[v] <= d:
-                reimply.append((st.lazy_lvl[v], len(reimply), st.lazy_cl[v]))
+                reimply.append((st.lazy_lvl[v], st.lazy_cl[v]))
             st.lazy_cl[v] = None
             st.lazy_lvl[v] = INF
         val[lit] = UNDEF
@@ -91,8 +92,8 @@ def backtrack(state, d, mode, stats):
             }
         )
 
-    reimply.sort(key=lambda item: (item[0], item[1]))
-    for lvl, _, clause in reimply:
+    reimply.sort(key=itemgetter(0))  # stable: trail order on equal levels
+    for lvl, clause in reimply:
         unassigned = [x for x in clause.lits if val[x] == UNDEF]
         assert len(unassigned) == 1, "a stored MLI must be unit after backtracking"
         st.enqueue_implied(unassigned[0], clause, lvl, kind="reimply")

@@ -46,11 +46,6 @@ class Violation:
         return "Violation(inv=%d, %s: %s)" % (self.invariant, self.subject, self.detail)
 
 
-def check(state, formula, invariant, blockers=False):
-    """Evaluate one invariant; empty list iff it holds everywhere."""
-    return check_ids(state, formula, (invariant,), blockers=blockers)
-
-
 def check_ids(state, formula, ids, blockers=False):
     """Evaluate several invariants in one pass over clauses and trail."""
     out = []

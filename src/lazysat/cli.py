@@ -121,12 +121,8 @@ def read_dimacs(path, name):
 def cmd_solve(args):
     try:
         formula = read_dimacs(args.file, args.file)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    try:
         cfg = _config_from(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     trace_fh = None
@@ -202,7 +198,7 @@ def load_dimacs_dir(path):
 def bench_rows(instances, modes, args):
     """Data rows plus per-mode SAT/UNSAT mean-propagation summaries.
 
-    Aborts with a diagnostic when two modes disagree on a verdict.
+    Raises ValueError naming the instance when two modes disagree on a verdict.
     """
     rows = []
     sums = {(mode, sat): [0, 0] for mode in modes for sat in (True, False)}
@@ -235,7 +231,10 @@ def bench_rows(instances, modes, args):
             bucket[0] += stats.propagations
             bucket[1] += 1
         if len(set(verdicts.values())) > 1:
-            raise BenchDisagreement(name, verdicts)
+            raise ValueError(
+                "verdict disagreement on %s: %s"
+                % (name, " ".join("%s=%s" % kv for kv in sorted(verdicts.items())))
+            )
     for mode in modes:
         for sat in (True, False):
             total, count = sums[(mode, sat)]
@@ -256,16 +255,6 @@ def bench_rows(instances, modes, args):
                 }
             )
     return rows
-
-
-class BenchDisagreement(RuntimeError):
-    def __init__(self, instance, verdicts):
-        super().__init__(
-            "verdict disagreement on %s: %s"
-            % (instance, " ".join("%s=%s" % kv for kv in sorted(verdicts.items())))
-        )
-        self.instance = instance
-        self.verdicts = verdicts
 
 
 def render_bench_csv(rows):
@@ -290,20 +279,11 @@ def cmd_bench(args):
             for i in range(count):
                 name = "gen-v%d-c%d-s%d" % (n, m, seed + i)
                 instances.append((name, random_3sat(n, m, seed + i), n, m))
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    if args.dir is not None:
-        try:
-            loaded = load_dimacs_dir(args.dir)
-        except (OSError, ValueError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_ERROR
-        for name, formula in loaded:
-            instances.append((name, formula, formula.num_vars, len(formula.clauses)))
-    try:
+        if args.dir is not None:
+            for name, formula in load_dimacs_dir(args.dir):
+                instances.append((name, formula, formula.num_vars, len(formula.clauses)))
         rows = bench_rows(instances, modes, args)
-    except BenchDisagreement as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     text = render_bench_csv(rows)

@@ -307,9 +307,9 @@ class Solver:
         self._solved = True
         verdict = self.setup()
         while verdict is None:
-            kind, payload = self.step()
+            kind = self.step()
             if kind == "sat":
-                verdict = Verdict(True, payload)
+                verdict = Verdict(True, self._model())
             elif kind == "unsat":
                 verdict = Verdict(False)
         if self.state.trace is not None:
@@ -332,12 +332,11 @@ class Solver:
         return None
 
     def step(self):
-        """One macro step of the main loop.
+        """One macro step of the main loop: propagate, then act on the result.
 
-        Returns one of ("sat", model), ("unsat", None), ("decide", literal),
-        ("restart", None), or ("learn", (installed lits, episode conflicts)),
-        where the installed lits are the learned clause's encoded literals,
-        unsorted.
+        Returns its kind: "sat" (every variable is assigned), "unsat",
+        "decide", "restart" or "learn" (a conflict episode installed a
+        clause).
         """
         st = self.state
         # bound here, not stored: a stored bound method would tie the solver to itself
@@ -345,24 +344,19 @@ class Solver:
         if conflict is None:
             self._checkpoint()
             if len(st.trail) == self.formula.num_vars:
-                return ("sat", self._model())
+                return "sat"
             if self.maybe_restart():
-                return ("restart", None)
-            lit = self.decide()
-            st.enqueue_decision(lit)
+                return "restart"
+            st.enqueue_decision(self.decide())
             self.stats.decisions += 1
             self._checkpoint()
-            return ("decide", lit)
-        before = self.stats.conflicts
-        installed = self._handle_conflict(conflict)
-        if installed is False:
-            return ("unsat", None)
-        return ("learn", (installed, self.stats.conflicts - before))
+            return "decide"
+        return "learn" if self._handle_conflict(conflict) else "unsat"
 
     def _handle_conflict(self, conflict):
         """Analyze/backtrack/install one conflict episode.
 
-        Returns the installed clause's encoded literals, or False when the
+        Returns True once a learned clause is installed, or False when the
         formula is refuted (a level-0 clause was derived).
         """
         cfg = self.cfg
@@ -394,10 +388,17 @@ class Solver:
                 return False
             d = choose_backtrack_level(learned, cfg)
             run_backtrack(st, d, cfg.mode, stats)
-            refalsified = all(st.val[x] == FALSE for x in learned.lits)
+            # Every other literal lies at or below second_level <= d, so it
+            # stays falsified: the clause conflicts again iff the asserting
+            # literal came back falsified.
+            refalsified = st.val[learned.asserting] == FALSE
+            if st.checked:
+                assert refalsified == all(
+                    st.val[x] == FALSE for x in learned.lits
+                ), "a literal below the backtrack level lost its falsification"
             if refalsified:
                 # Only reachable through lazy reimplication with the classical
-                # analysis stop: the asserting literal came back falsified.
+                # analysis stop.
                 assert cfg.mode == "lscb" and cfg.analyze == 1, (
                     "re-falsified learned clause outside lazy mode with strategy 1"
                 )
@@ -405,7 +406,7 @@ class Solver:
                 continue
             self.install_learned(learned)
             self._checkpoint()
-            return learned.lits
+            return True
 
     def _model(self):
         val = self.state.val

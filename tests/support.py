@@ -252,6 +252,7 @@ class LockstepRunner:
     def __init__(self, formula):
         self.solvers = []
         self._episode_lazy = False  # analysis resolved on a lazy reason this episode
+        self._episode_learned = None  # the episode's last learned clause: the installed one
         for strategy in (1, 2):
             cfg = SolverConfig(mode="lscb", analyze=strategy, cb_threshold=1)
             solver = Solver(formula.copy(), cfg)
@@ -261,6 +262,7 @@ class LockstepRunner:
     def _on_learn(self, solver, pre, post):
         if any(kind == "lazy" for _, kind in pre.steps):
             self._episode_lazy = True
+        self._episode_learned = post
 
     def _machine_hash(self, solver):
         # the whole deterministic machine: trail state, clauses, and the
@@ -282,12 +284,14 @@ class LockstepRunner:
         counts as lazy engagement.
         """
         self._episode_lazy = False
+        before = solver.stats.conflicts
         while True:
-            kind, payload = solver.step()
+            kind = solver.step()
             if kind in ("sat", "unsat"):
                 return (kind, None, 0, False)
             if kind == "learn":
-                installed, conflicts = payload
+                conflicts = solver.stats.conflicts - before
+                installed = self._episode_learned.lits
                 return ("learn", installed, conflicts, self._episode_lazy or conflicts > 1)
 
     def run(self):

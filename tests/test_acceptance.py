@@ -8,7 +8,7 @@ numbers behind each verdict.
 import statistics
 
 import lazysat.solver as solver_module
-from lazysat.checker import check
+from lazysat.checker import check_ids
 from lazysat.cli import render_bench_csv
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import FALSE
@@ -299,7 +299,7 @@ def test_topological_order_after_reimplication():
     def spy(state, d, mode, stats=None):
         orig(state, d, mode, stats)
         backtracks[0] += 1
-        found = check(state, current["formula"], 3)
+        found = check_ids(state, current["formula"], (3,))
         if found:
             violations.extend(found)
 

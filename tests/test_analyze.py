@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 
-from lazysat.analyze import LearnedClause, analyze, minimize, resolve
+from lazysat.analyze import LearnedClause, analyze, minimize
 from lazysat.backtrack import backtrack
 from lazysat.formula import Clause, Formula, lit_from_int, lit_to_int
 from lazysat.formula import lit_from_int as lit
@@ -17,6 +17,24 @@ def lits(*ns):
 
 def ints(encoded):
     return [lit_to_int(x) for x in encoded]
+
+
+def resolve(d_lits, c_lits, pivot):
+    """Binary resolution (D minus not-pivot) union (C' minus pivot), set semantics.
+
+    ``pivot`` is the literal as it occurs in C'; its negation must occur in
+    D.  Order is preserved: D's literals first, then C's new ones.  The
+    reference that analysis is replayed through.
+    """
+    neg = pivot ^ 1
+    assert neg in d_lits and pivot in c_lits, "resolution pivot missing"
+    out = [x for x in d_lits if x != neg]
+    seen = set(out)
+    for y in c_lits:
+        if y != pivot and y not in seen:
+            seen.add(y)
+            out.append(y)
+    return out
 
 
 def test_resolve_worked_example():

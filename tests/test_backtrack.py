@@ -179,6 +179,6 @@ def test_lazy_entries_of_kept_literals_survive():
     rig = out["rig"]
     st = rig.state
     # plant a fresh scenario: the MLI on 2 was consumed; rebuild one on 5
-    from lazysat.checker import check
+    from lazysat.checker import check_ids
 
-    assert check(st, rig.formula, 6) == []
+    assert check_ids(st, rig.formula, (6,)) == []

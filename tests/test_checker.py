@@ -1,4 +1,4 @@
-from lazysat.checker import ALL_INVARIANTS, Violation, check, check_ids
+from lazysat.checker import ALL_INVARIANTS, Violation, check_ids
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import INF, TRUE, UNDEF, TrailState
@@ -9,14 +9,14 @@ from support import s1_replay, state_hash, trail_positions
 def test_wcb_replay_violates_strong_watches_only():
     out = s1_replay("wcb")
     rig = out["rig"]
-    found4 = check(rig.state, rig.formula, 4)
+    found4 = check_ids(rig.state, rig.formula, (4,))
     assert found4, "the missed implication must show as a strong-watch violation"
     assert any(v.subject == "C3" for v in found4)
     # the weak form still holds on the same state
-    assert check(rig.state, rig.formula, 1) == []
+    assert check_ids(rig.state, rig.formula, (1,)) == []
     # and the basic trail invariants are untouched
-    assert check(rig.state, rig.formula, 2) == []
-    assert check(rig.state, rig.formula, 3) == []
+    assert check_ids(rig.state, rig.formula, (2,)) == []
+    assert check_ids(rig.state, rig.formula, (3,)) == []
 
 
 def test_lscb_replay_keeps_lazy_invariants():
@@ -42,8 +42,8 @@ def test_lscb_replay_keeps_lazy_invariants():
     # clause, so only the trail-side invariants are due at this point; the
     # full solver path (which installs) is covered by the matrix soaks
     for inv in (1, 2, 3, 6):
-        assert check(rig.state, rig.formula, inv) == [], "invariant %d" % inv
-    leftover = {v.subject for v in check(rig.state, rig.formula, 4)}
+        assert check_ids(rig.state, rig.formula, (inv,)) == [], "invariant %d" % inv
+    leftover = {v.subject for v in check_ids(rig.state, rig.formula, (4,))}
     assert leftover == {"C4"}  # exactly the un-reasserted conflict clause
 
 
@@ -52,7 +52,7 @@ def test_check_is_side_effect_free():
     rig = out["rig"]
     before = state_hash(rig.state, rig.formula)
     for inv in ALL_INVARIANTS:
-        check(rig.state, rig.formula, inv)
+        check_ids(rig.state, rig.formula, (inv,))
     assert state_hash(rig.state, rig.formula) == before
 
 
@@ -64,8 +64,8 @@ def test_inv5_violations_contain_inv7_violations():
             f = random_3sat(14, 60, seed)
             s = Solver(f.copy(), SolverConfig(mode=mode, cb_threshold=1))
             s.solve()
-            v5 = {(v.subject) for v in check(s.state, s.formula, 5)}
-            v7 = {(v.subject) for v in check(s.state, s.formula, 7)}
+            v5 = {(v.subject) for v in check_ids(s.state, s.formula, (5,))}
+            v7 = {(v.subject) for v in check_ids(s.state, s.formula, (7,))}
             assert v7 <= v5
 
 
@@ -75,9 +75,9 @@ def test_inv4_implied_by_inv5_and_inv7():
             f = random_3sat(14, 60, seed)
             s = Solver(f.copy(), SolverConfig(mode=mode, cb_threshold=1))
             s.solve()
-            v4 = {v.subject for v in check(s.state, s.formula, 4)}
-            v5 = {v.subject for v in check(s.state, s.formula, 5)}
-            v7 = {v.subject for v in check(s.state, s.formula, 7)}
+            v4 = {v.subject for v in check_ids(s.state, s.formula, (4,))}
+            v5 = {v.subject for v in check_ids(s.state, s.formula, (5,))}
+            v7 = {v.subject for v in check_ids(s.state, s.formula, (7,))}
             assert v4 <= v5
             assert v4 <= v7
 
@@ -97,9 +97,9 @@ def test_inv6_catches_stale_cache():
     st.enqueue_decision(lit_from_int(1))
     st.enqueue_decision(lit_from_int(3))
     st.set_lazy(lit_from_int(3), mli, 1)
-    assert check(st, f, 6) == []
+    assert check_ids(st, f, (6,)) == []
     st.lazy_lvl[3] = 0  # corrupt the cache
-    assert check(st, f, 6)
+    assert check_ids(st, f, (6,))
 
 
 def test_inv8_checked_only_with_blockers():
@@ -117,7 +117,7 @@ def test_check_ids_matches_individual_checks():
     combined = check_ids(rig.state, rig.formula, ALL_INVARIANTS)
     singles = []
     for inv in ALL_INVARIANTS:
-        singles.extend(check(rig.state, rig.formula, inv))
+        singles.extend(check_ids(rig.state, rig.formula, (inv,)))
     assert sorted((v.invariant, v.subject) for v in combined) == sorted(
         (v.invariant, v.subject) for v in singles
     )
@@ -198,5 +198,5 @@ def test_check_ids_matches_reference_scan():
                     fired.update(v.invariant for v in got)
                     if kind in ("sat", "unsat"):
                         break
-                    kind, _ = s.step()
+                    kind = s.step()
     assert {1, 4, 5, 7, 8} <= fired

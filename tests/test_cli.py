@@ -6,6 +6,7 @@ import sys
 import lazysat
 from lazysat.cli import main
 from lazysat.formula import parse_dimacs, write_dimacs
+from lazysat.solver import Solver
 from lazysat.testkit import random_3sat
 from support import s1_formula
 
@@ -177,6 +178,21 @@ def test_bench_dir_malformed_file_is_input_error(tmp_path, capsys):
 def test_bench_rejects_unknown_mode(capsys):
     assert main(["bench", "--gen", "10", "43", "1", "0", "--modes", "fast"]) == 1
     capsys.readouterr()
+
+
+def test_bench_verdict_disagreement_aborts(monkeypatch, capsys):
+    class FlippedWcb(Solver):
+        def solve(self):
+            verdict = super().solve()
+            if self.cfg.mode == "wcb":
+                verdict.sat = not verdict.sat
+            return verdict
+
+    monkeypatch.setattr("lazysat.cli.Solver", FlippedWcb)
+    assert main(["bench", "--gen", "10", "43", "1", "0", "--modes", "lscb,wcb"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verdict disagreement on gen-v10-c43-s0: lscb=True wcb=False\n"
 
 
 def test_bad_argument_values_are_usage_errors(tmp_path, capsys):

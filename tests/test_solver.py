@@ -257,7 +257,7 @@ def test_agility_restarts_wait_for_a_conflict():
     conflicts_at_restart = []
     kind = None
     for _ in range(5000):
-        kind, _payload = s.step()
+        kind = s.step()
         if kind in ("sat", "unsat"):
             break
         if kind == "restart":
