@@ -1,12 +1,13 @@
 """Command-line front end: solve DIMACS files, generate instances, benchmark modes.
 
 Exit codes follow the usual solver convention: 10 satisfiable, 20
-unsatisfiable, 1 for usage or input errors.
+unsatisfiable, 1 for usage, input or output errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -14,7 +15,6 @@ import os
 import sys
 import time
 
-from .checker import ALL_INVARIANTS
 from .formula import parse_dimacs, write_dimacs
 from .solver import CHECK_LEVELS, MODES, RESTARTS, Solver, SolverConfig, Stats
 from .testkit import random_3sat, satlib_clause_count
@@ -23,19 +23,9 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_ERROR = 1
 
-BENCH_FIELDS = (
-    "instance",
-    "n",
-    "m",
-    "mode",
-    "verdict",
-    "propagations",
-    "decisions",
-    "conflicts",
-    "reimplications",
-    "mli_detected",
-    "wall_ms",
-)
+# The Stats counters each bench data row reports, in column order.
+BENCH_STATS = ("propagations", "decisions", "conflicts", "reimplications", "mli_detected")
+BENCH_FIELDS = ("instance", "n", "m", "mode", "verdict") + BENCH_STATS + ("wall_ms",)
 
 
 def build_parser():
@@ -119,33 +109,27 @@ def read_dimacs(path, name):
 
 
 def cmd_solve(args):
-    try:
-        formula = read_dimacs(args.file, args.file)
-        cfg = _config_from(args)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    trace_fh = None
-    trace = None
-    if args.trace:
-        try:
-            trace_fh = open(args.trace, "w")
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_ERROR
-        trace = make_trace_writer(trace_fh)
-    try:
+    formula = read_dimacs(args.file, args.file)
+    cfg = _config_from(args)
+    with contextlib.ExitStack() as outputs:
+        stats_fh = None
+        trace = None
+        if args.stats:
+            stats_fh = outputs.enter_context(open(args.stats, "w", newline=""))
+        if args.trace:
+            trace = make_trace_writer(outputs.enter_context(open(args.trace, "w")))
         solver = Solver(formula, cfg, trace=trace)
         verdict = solver.solve()
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-    stats = solver.stats
-    if cfg.check_level != "off":
-        for inv in ALL_INVARIANTS:
-            count = solver.violations.get(inv, 0)
-            if count:
-                print("c invariant %d violated %d times" % (inv, count))
+        stats = solver.stats
+        if stats_fh is not None:
+            writer = csv.writer(stats_fh, lineterminator="\n")
+            writer.writerow(("file", "mode", "analyze", "verdict") + Stats.FIELDS)
+            writer.writerow(
+                [args.file, cfg.mode, cfg.analyze, "SAT" if verdict.sat else "UNSAT"]
+                + [getattr(stats, name) for name in Stats.FIELDS]
+            )
+    for inv, count in sorted(solver.violations.items()):
+        print("c invariant %d violated %d times" % (inv, count))
     for name in Stats.FIELDS:
         print("c %s %d" % (name, getattr(stats, name)))
     if verdict.sat:
@@ -154,29 +138,16 @@ def cmd_solve(args):
         print("v " + " ".join(str(x) for x in lits + [0]))
     else:
         print("s UNSATISFIABLE")
-    if args.stats:
-        with open(args.stats, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("file", "mode", "analyze", "verdict") + Stats.FIELDS)
-            writer.writerow(
-                [args.file, cfg.mode, cfg.analyze, "SAT" if verdict.sat else "UNSAT"]
-                + [getattr(stats, name) for name in Stats.FIELDS]
-            )
     return EXIT_SAT if verdict.sat else EXIT_UNSAT
 
 
 def cmd_gen(args):
     if args.count < 0:
-        print("error: --count must be at least 0, got %d" % args.count, file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("--count must be at least 0, got %d" % args.count)
     m = args.clauses or satlib_clause_count(args.vars)
     seeds = range(args.seed, args.seed + args.count)
-    try:
-        # generated before the directory exists, so a usage error leaves nothing behind
-        texts = [write_dimacs(random_3sat(args.vars, m, seed)) for seed in seeds]
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    # generated before the directory exists, so a usage error leaves nothing behind
+    texts = [write_dimacs(random_3sat(args.vars, m, seed)) for seed in seeds]
     os.makedirs(args.out_dir, exist_ok=True)
     for seed, text in zip(seeds, texts):
         name = "rnd3-v%d-c%d-s%d.cnf" % (args.vars, m, seed)
@@ -212,21 +183,17 @@ def bench_rows(instances, modes, args):
             wall = (time.perf_counter() - start) * 1000.0
             verdicts[mode] = verdict.sat
             stats = solver.stats
-            rows.append(
-                {
-                    "instance": name,
-                    "n": n,
-                    "m": m,
-                    "mode": mode,
-                    "verdict": "SAT" if verdict.sat else "UNSAT",
-                    "propagations": stats.propagations,
-                    "decisions": stats.decisions,
-                    "conflicts": stats.conflicts,
-                    "reimplications": stats.reimplications,
-                    "mli_detected": stats.mli_detected,
-                    "wall_ms": ("%.3f" % wall) if args.wall_time else "0.000",
-                }
-            )
+            row = {
+                "instance": name,
+                "n": n,
+                "m": m,
+                "mode": mode,
+                "verdict": "SAT" if verdict.sat else "UNSAT",
+                "wall_ms": ("%.3f" % wall) if args.wall_time else "0.000",
+            }
+            for field in BENCH_STATS:
+                row[field] = getattr(stats, field)
+            rows.append(row)
             bucket = sums[(mode, verdict.sat)]
             bucket[0] += stats.propagations
             bucket[1] += 1
@@ -235,6 +202,7 @@ def bench_rows(instances, modes, args):
                 "verdict disagreement on %s: %s"
                 % (name, " ".join("%s=%s" % kv for kv in sorted(verdicts.items())))
             )
+    # summary rows: mean propagations, instance count; DictWriter leaves the rest empty
     for mode in modes:
         for sat in (True, False):
             total, count = sums[(mode, sat)]
@@ -242,16 +210,10 @@ def bench_rows(instances, modes, args):
             rows.append(
                 {
                     "instance": "summary:%s:%s" % (mode, "SAT" if sat else "UNSAT"),
-                    "n": "",
-                    "m": "",
                     "mode": mode,
                     "verdict": "SAT" if sat else "UNSAT",
                     "propagations": "%.2f" % mean,
                     "decisions": count,
-                    "conflicts": "",
-                    "reimplications": "",
-                    "mli_detected": "",
-                    "wall_ms": "",
                 }
             )
     return rows
@@ -261,57 +223,48 @@ def render_bench_csv(rows):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BENCH_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def cmd_bench(args):
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    for mode in modes:
+        _config_from(args, mode)  # rejects an unknown mode or a bad flag value
     instances = []
-    try:
-        for mode in modes:
-            _config_from(args, mode)  # rejects an unknown mode or a bad flag value
-        if args.gen:
-            n, m, count, seed = args.gen
-            if count < 0:
-                raise ValueError("--gen COUNT must be at least 0, got %d" % count)
-            for i in range(count):
-                name = "gen-v%d-c%d-s%d" % (n, m, seed + i)
-                instances.append((name, random_3sat(n, m, seed + i), n, m))
-        if args.dir is not None:
-            for name, formula in load_dimacs_dir(args.dir):
-                instances.append((name, formula, formula.num_vars, len(formula.clauses)))
-        rows = bench_rows(instances, modes, args)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    text = render_bench_csv(rows)
+    if args.gen:
+        n, m, count, seed = args.gen
+        if count < 0:
+            raise ValueError("--gen COUNT must be at least 0, got %d" % count)
+        for i in range(count):
+            name = "gen-v%d-c%d-s%d" % (n, m, seed + i)
+            instances.append((name, random_3sat(n, m, seed + i), n, m))
+    if args.dir is not None:
+        for name, formula in load_dimacs_dir(args.dir):
+            instances.append((name, formula, formula.num_vars, len(formula.clauses)))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        out = open(args.out, "w", newline="")
     else:
-        sys.stdout.write(text)
+        out = contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        fh.write(render_bench_csv(bench_rows(instances, modes, args)))
     return 0
 
 
 def main(argv=None):
+    """Run one command; the only place that turns an OSError or ValueError
+    (bad input or output) into ``error: ...`` and exit code 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_ERROR
+    commands = {"solve": cmd_solve, "gen": cmd_gen, "bench": cmd_bench}
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-    except OSError as exc:
+        return commands[args.command](args)
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 def entry():

@@ -61,15 +61,14 @@ class DimacsError(ValueError):
 class Formula:
     """A conjunctive clause set with stable clause references.
 
-    Clause objects stay valid across learned-clause insertion.  Unit input
-    clauses are recorded in ``root_units`` (assigned at level 0 with the
-    clause itself as reason) and are never watched.
+    Clause objects stay valid across learned-clause insertion.  Unit
+    clauses are never watched; the solver assigns them at level 0 with the
+    clause itself as reason.
     """
 
     def __init__(self, num_vars=0):
         self.num_vars = num_vars
         self.clauses: list[Clause] = []
-        self.root_units: list[Clause] = []
         self.trivially_unsat = False
 
     def add_clause(self, ints):
@@ -103,8 +102,6 @@ class Formula:
         clauses = self.clauses
         clause = Clause(lits, learned, len(clauses))
         clauses.append(clause)
-        if len(lits) == 1:
-            self.root_units.append(clause)
         return clause
 
     def copy(self):

@@ -48,10 +48,15 @@ class Propagator:
             clause.blocker = lits[clause.w1]
 
     def init_watches(self):
-        """Fill the watch lists from the stored clauses, in clause order."""
+        """Fill the watch lists from the stored clauses, in clause order, and
+        return the unit clauses, which are never watched."""
+        units = []
         for clause in self.formula.clauses:
             if len(clause.lits) >= 2:
                 self.watch_clause(clause)
+            else:
+                units.append(clause)
+        return units
 
     def rewatch(self, clause, lit0, lit1):
         """Point the clause's watches at two specific literals, fixing the lists.
@@ -65,9 +70,7 @@ class Propagator:
             return
         for old in (a, b):
             if old != lit0 and old != lit1:
-                bucket = self.wl[old]
-                if clause in bucket:
-                    bucket.remove(clause)
+                self.wl[old].remove(clause)  # the watch-list invariant puts it there
         for new in (lit0, lit1):
             if new != a and new != b:
                 self.wl[new].append(clause)

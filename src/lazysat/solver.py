@@ -25,7 +25,10 @@ RESTARTS = ("off", "agility")
 CHECK_LEVELS = ("off", "coarse", "fine")
 
 VSIDS_BUMP = 1.0
+VSIDS_DECAY = 0.95  # the bump grows by 1/VSIDS_DECAY per conflict
 VSIDS_RESCALE = 1e100
+AGILITY_DECAY = 0.9999  # weight of the agility average's history
+AGILITY_LIMIT = 0.20  # agility restarts fire below this average
 
 
 @dataclass
@@ -36,9 +39,6 @@ class SolverConfig:
     minimize: bool = False
     blockers: bool = False
     restarts: str = "off"
-    vsids_decay: float = 0.95
-    agility_decay: float = 0.9999
-    agility_limit: float = 0.20
     check_level: str = "off"
 
     def __post_init__(self):
@@ -50,8 +50,6 @@ class SolverConfig:
             raise ValueError("cb_threshold must be >= 1")
         if self.restarts not in RESTARTS:
             raise ValueError("unknown restart policy %r" % self.restarts)
-        if not 0.0 < self.vsids_decay < 1.0 or not 0.0 < self.agility_decay < 1.0:
-            raise ValueError("decay fractions must lie in (0, 1)")
         if self.check_level not in CHECK_LEVELS:
             raise ValueError("unknown check level %r" % self.check_level)
 
@@ -164,7 +162,7 @@ class Solver:
         self.order = DecisionOrder(self.activity)
         self.state.order = self.order  # backtracking requeues what it unassigns
         self.var_inc = VSIDS_BUMP
-        self._agility = Agility(self.cfg.agility_decay)
+        self._agility = Agility(AGILITY_DECAY)
         self._restart_conflicts = -1  # conflict count at the last restart
         self.violations = Counter()  # invariant id -> observed count at checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
@@ -231,11 +229,11 @@ class Solver:
                 activity[v] *= 1.0 / VSIDS_RESCALE
             self.var_inc *= 1.0 / VSIDS_RESCALE
             order.rebuild(self.state.val)
-        self.var_inc /= self.cfg.vsids_decay
+        self.var_inc /= VSIDS_DECAY
 
     def maybe_restart(self):
         """Restart (backtrack to the root) when the agility average sinks
-        below the configured limit.  Only consulted at decision points.
+        below AGILITY_LIMIT.  Only consulted at decision points.
 
         After a restart, the next one waits for a conflict: phase saving
         replays the same assignments without flips, so agility alone could
@@ -247,7 +245,7 @@ class Solver:
             return False
         if self.stats.conflicts == self._restart_conflicts:
             return False
-        if self.agility >= self.cfg.agility_limit:
+        if self.agility >= AGILITY_LIMIT:
             return False
         run_backtrack(self.state, 0, self.cfg.mode, self.stats)
         self.stats.restarts += 1
@@ -321,8 +319,7 @@ class Solver:
         st = self.state
         if self.formula.trivially_unsat:
             return Verdict(False)
-        self.prop.init_watches()
-        for unit in self.formula.root_units:
+        for unit in self.prop.init_watches():
             lit = unit.lits[0]
             v = st.val[lit]
             if v == FALSE:

@@ -1,3 +1,7 @@
+from operator import setitem
+
+import pytest
+
 from lazysat.checker import ALL_INVARIANTS, Violation, check_ids
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
@@ -100,6 +104,45 @@ def test_inv6_catches_stale_cache():
     assert check_ids(st, f, (6,)) == []
     st.lazy_lvl[3] = 0  # corrupt the cache
     assert check_ids(st, f, (6,))
+
+
+def _trail_state():
+    """A quiescent trail: 1 decided, 2 implied by C0 at level 1, 3 decided at
+    level 2 with the stored MLI C1 at level 1.  C2 and C3 hold the unassigned 4."""
+    f = Formula(4)
+    for ints in ([-1, 2], [3, -1], [2, 4], [3, 4]):
+        f.add_clause(ints)
+    st = TrailState(4, checked=True)
+    st.enqueue_decision(lit_from_int(1))
+    st.enqueue_implied(lit_from_int(2), f.clauses[0], 1)
+    st.enqueue_decision(lit_from_int(3))
+    st.set_lazy(lit_from_int(3), f.clauses[1], 1)
+    st.head = len(st.trail)
+    return st, f
+
+
+@pytest.mark.parametrize(
+    "inv, corrupt, expected",
+    [
+        (2, lambda st, c: setitem(st.reason, 2, None), "2: non-decision without reason"),
+        (2, lambda st, c: setitem(st.reason, 2, c[1]), "2: reason lacks the implied literal"),
+        (2, lambda st, c: setitem(st.reason, 2, c[2]), "2: reason literal 4 not falsified"),
+        (3, lambda st, c: st.trail.reverse(), "2: reason literal -1 not before it"),
+        (3, lambda st, c: setitem(st.reason, 2, c[2]), "2: reason literal 4 not before it"),
+        (6, lambda st, c: setitem(st.lazy_cl, 4, c[1]), "-4: stored MLI on unassigned variable"),
+        (6, lambda st, c: setitem(st.lazy_cl, 3, c[0]), "3: stored MLI lacks its literal"),
+        (6, lambda st, c: setitem(st.lazy_cl, 3, c[3]), "3: stored MLI rest not falsified"),
+        (6, lambda st, c: setitem(st.level, 3, 1), "3: stored MLI level 1 not below 1"),
+        (6, lambda st, c: setitem(st.lazy_lvl, 3, 0), "3: cached MLI level 0 differs from 1"),
+    ],
+)
+def test_trail_invariant_reports(inv, corrupt, expected):
+    # one broken field per case, and exactly the one report it causes
+    st, f = _trail_state()
+    assert check_ids(st, f, (2, 3, 6)) == []
+    corrupt(st, f.clauses)
+    subject, detail = expected.split(": ", 1)
+    assert check_ids(st, f, (inv,)) == [Violation(inv, subject, detail)]
 
 
 def test_inv8_checked_only_with_blockers():

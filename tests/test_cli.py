@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import lazysat
 from lazysat.cli import main
 from lazysat.formula import parse_dimacs, write_dimacs
-from lazysat.solver import Solver
+from lazysat.solver import Solver, SolverConfig
 from lazysat.testkit import random_3sat
 from support import s1_formula
 
@@ -78,6 +80,54 @@ def test_solve_stats_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_solve_check_prints_invariant_counts(tmp_path, capsys):
+    # wcb keeps only weak watches, so coarse checks see the strong-watch
+    # invariant 4 fail; the weak-watch invariant 1 and the trail invariants
+    # 2 and 3 always hold
+    f = random_3sat(30, 128, 0)
+    path = write_cnf(tmp_path / "in.cnf", f)
+    flags = ["--cb-threshold", "1", "--check", "coarse"]
+    for mode in ("wcb", "lscb"):
+        main(["solve", path, "--mode", mode] + flags)
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("c invariant")]
+        s = Solver(f.copy(), SolverConfig(mode=mode, cb_threshold=1, check_level="coarse"))
+        s.solve()
+        counts = sorted(s.violations.items())
+        assert lines == ["c invariant %d violated %d times" % kv for kv in counts]
+        if mode == "wcb":
+            assert 4 in s.violations and not {1, 2, 3} & set(s.violations)
+        else:
+            assert lines == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{cnf}", "--stats", "{tmp}/nodir/x.csv"],
+        ["solve", "{cnf}", "--trace", "{tmp}/nodir/t.jsonl"],
+        ["bench", "--gen", "10", "43", "2", "0", "--out", "{tmp}/nodir/b.csv"],
+        ["gen", "--vars", "10", "--out-dir", "{cnf}"],
+    ],
+    ids=["solve-stats", "solve-trace", "bench-out", "gen-out-dir-is-a-file"],
+)
+def test_unwritable_output_fails_before_solving(argv, tmp_path, monkeypatch, capsys):
+    built = []
+
+    class CountingSolver(Solver):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("lazysat.cli.Solver", CountingSolver)
+    cnf = write_cnf(tmp_path / "s1.cnf", s1_formula())
+    argv = [a.format(cnf=cnf, tmp=tmp_path) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert built == []
+
+
 def test_trace_jsonl_schema(tmp_path, capsys):
     # The second input re-falsifies a learned clause after lazy
     # reimplication; its conflict event has no clause index.
@@ -130,6 +180,8 @@ def test_bench_row_counts_and_determinism(tmp_path, capsys):
     capsys.readouterr()
     a = out1.read_bytes()
     assert a == out2.read_bytes()
+    assert main(args[:-1]) == 0  # without --out the same CSV goes to stdout
+    assert capsys.readouterr().out == a.decode()
     lines = a.decode().splitlines()
     header = lines[0].split(",")
     assert header == [

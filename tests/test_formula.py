@@ -12,6 +12,11 @@ from lazysat.formula import (
 )
 
 
+def units(formula):
+    """The stored unit clauses, which the solver asserts at level 0."""
+    return [c for c in formula.clauses if len(c.lits) == 1]
+
+
 def test_literal_encoding_roundtrip():
     for n in (1, -1, 7, -7, 123, -123):
         lit = lit_from_int(n)
@@ -26,14 +31,14 @@ def test_parse_basic():
     assert f.num_vars == 3
     assert [c.to_ints() for c in f.clauses] == [[1, -2], [-1, 3]]
     assert not f.trivially_unsat
-    assert f.root_units == []
+    assert units(f) == []
 
 
 def test_parse_comment_and_root_unit():
     f = parse_dimacs("c comment\np cnf 1 1\n1 0\n")
     assert f.num_vars == 1
-    assert len(f.root_units) == 1
-    assert f.root_units[0].to_ints() == [1]
+    assert len(units(f)) == 1
+    assert units(f)[0].to_ints() == [1]
     # size-1 clauses are never watched
     assert sum(1 for c in f.clauses if len(c.lits) >= 2) == 0
 
@@ -58,6 +63,25 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 2
     with pytest.raises(DimacsError):
         parse_dimacs("1 2 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p cnf 2 1\np cnf 2 1\n1 0\n", 2, "duplicate 'p cnf' header"),
+        ("p cnf 2\n", 1, "malformed header 'p cnf 2'"),
+        ("p dnf 2 1\n", 1, "malformed header 'p dnf 2 1'"),
+        ("p cnf 2 y\n", 1, "malformed header 'p cnf 2 y'"),
+        ("p cnf -2 1\n", 1, "malformed header 'p cnf -2 1'"),
+        ("c no header\n", 1, "missing 'p cnf' header"),
+        ("", 1, "missing 'p cnf' header"),
+    ],
+)
+def test_parse_header_errors(text, line, message):
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs(text)
+    assert exc.value.line == line
+    assert str(exc.value) == "line %d: %s" % (line, message)
 
 
 def test_parse_satlib_trailer():
@@ -85,7 +109,7 @@ def test_add_clause_duplicate_collapses_to_root_unit():
     f = Formula(2)
     c = f.add_clause([1, 1])
     assert c.to_ints() == [1]
-    assert f.root_units == [c]
+    assert units(f) == [c]
 
 
 def test_add_clause_rejects_out_of_range():
@@ -135,6 +159,6 @@ def test_dimacs_roundtrip_on_normalized_form():
         f2 = parse_dimacs(out)
         assert f1.num_vars == f2.num_vars
         assert [c.to_ints() for c in f1.clauses] == [c.to_ints() for c in f2.clauses]
-        assert [c.to_ints() for c in f1.root_units] == [c.to_ints() for c in f2.root_units]
+        assert [c.to_ints() for c in units(f1)] == [c.to_ints() for c in units(f2)]
         assert f1.trivially_unsat == f2.trivially_unsat
         assert out == write_dimacs(f2)

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+import lazysat.solver as solver_mod
 from lazysat.analyze import LearnedClause
 from lazysat.backtrack import backtrack
 from lazysat.formula import Formula, lit_to_int
@@ -42,8 +43,6 @@ def test_config_validation():
         SolverConfig(analyze=3)
     with pytest.raises(ValueError):
         SolverConfig(cb_threshold=0)
-    with pytest.raises(ValueError):
-        SolverConfig(vsids_decay=1.0)
     with pytest.raises(ValueError):
         SolverConfig(check_level="everything")
 
@@ -114,8 +113,8 @@ def _scan_decide(solver):
     return (best << 1) | solver.state.saved_phase[best]
 
 
-def test_decide_matches_activity_scan():
-    # vsids_decay -> (instances, agility limit).  Decay 0.5 doubles the bump
+def test_decide_matches_activity_scan(monkeypatch):
+    # VSIDS_DECAY -> (instances, agility limit).  Decay 0.5 doubles the bump
     # each conflict, so the 80-variable runs pass the 1e100 rescale and
     # rebuild the heap mid-search.  Each limit lets agility restart a few
     # times; higher ones restart before reaching the next conflict, forever.
@@ -124,20 +123,16 @@ def test_decide_matches_activity_scan():
         0.5: ([random_3sat(80, 341, seed) for seed in (0, 1)], 0.1),
     }
     restarted = 0
+    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", 0.95)
     for mode, restarts, decay in itertools.product(
         ("ncb", "wcb", "rscb", "lscb"), ("off", "agility"), (0.95, 0.5)
     ):
         instances, agility_limit = groups[decay]
+        monkeypatch.setattr(solver_mod, "VSIDS_DECAY", decay)
+        monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", agility_limit)
         rescales = 0
         for f in instances:
-            c = cfg(
-                mode=mode,
-                cb_threshold=1,
-                restarts=restarts,
-                agility_decay=0.95,
-                agility_limit=agility_limit,
-                vsids_decay=decay,
-            )
+            c = cfg(mode=mode, cb_threshold=1, restarts=restarts)
             s = Solver(f.copy(), c)
             n = f.num_vars
             last_inc = [s.var_inc]
@@ -199,7 +194,7 @@ def test_activity_replay_log_reproduces_ordering():
             if any(act[x >> 1] > 1e100 for x in lits):
                 act = [a * (1.0 / 1e100) for a in act]
                 inc *= 1.0 / 1e100
-            inc /= s.cfg.vsids_decay
+            inc /= solver_mod.VSIDS_DECAY
         # identical ordering (and in fact identical values)
         assert act == s.activity
     assert total_conflicts >= 100
@@ -219,17 +214,19 @@ def test_agility_above_limit_no_restart():
     s.prop.init_watches()
     s._fine = None
     s.state.enqueue_decision(s.decide())
-    assert s.agility > s.cfg.agility_limit
+    assert s.agility > solver_mod.AGILITY_LIMIT
     assert s.maybe_restart() is False
 
 
-def test_agility_ema_matches_offline_recomputation():
+def test_agility_ema_matches_offline_recomputation(monkeypatch):
     # drive assignments that never flip the saved phase: the average decays
     # geometrically and the restart fires exactly when it crosses the limit
     decay, limit = 0.9, 0.2
+    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", decay)
+    monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", limit)
     f = Formula(40)
     f.add_clause([1, 2])
-    s = Solver(f, cfg(restarts="agility", agility_decay=decay, agility_limit=limit))
+    s = Solver(f, cfg(restarts="agility"))
     expected = 1.0
     fired_at = None
     for i, v in enumerate(range(2, 30)):
@@ -247,12 +244,15 @@ def test_agility_ema_matches_offline_recomputation():
     assert s.stats.restarts == 1
 
 
-def test_agility_restarts_wait_for_a_conflict():
+def test_agility_restarts_wait_for_a_conflict(monkeypatch):
     # phase saving replays the same assignments after a restart, so agility
     # alone falls below the limit again; without a conflict between two
     # restarts this instance restarted forever
+    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", 0.95)
+    monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", 0.3)
+    monkeypatch.setattr(solver_mod, "VSIDS_DECAY", 0.5)
     f = random_3sat(80, 341, 0)
-    s = Solver(f, cfg(restarts="agility", agility_decay=0.95, agility_limit=0.3, vsids_decay=0.5))
+    s = Solver(f, cfg(restarts="agility"))
     assert s.setup() is None
     conflicts_at_restart = []
     kind = None
@@ -365,9 +365,11 @@ def test_stats_deterministic_and_monotone():
     assert a.stats.as_dict() == b.stats.as_dict()
 
 
-def test_flag_combination_soak_against_oracle():
+def test_flag_combination_soak_against_oracle(monkeypatch):
     import itertools
 
+    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", 0.95)
+    monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", 0.3)
     for n in (9, 13):
         m = satlib_clause_count(n)
         for seed in range(8):
@@ -386,8 +388,6 @@ def test_flag_combination_soak_against_oracle():
                     minimize=minimize,
                     blockers=blockers,
                     restarts=restarts,
-                    agility_decay=0.95,
-                    agility_limit=0.3,
                     check_level="coarse",
                 )
                 s = Solver(f.copy(), c)

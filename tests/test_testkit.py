@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+import lazysat.solver as solver_mod
 import lazysat.testkit
 from lazysat.cli import load_dimacs_dir
 from lazysat.formula import Formula, lit_to_int, write_dimacs
@@ -153,17 +154,24 @@ TRACE_KINDS = {"decide", "imply", "pop", "set_lazy", "backtrack", "reimply", "co
 TRACE_KINDS |= {"resolve", "learn", "restart", "result"}
 
 
-def test_trace_replay_reconstructs_final_trail():
+def test_trace_replay_reconstructs_final_trail(monkeypatch):
     reimplications = 0
     kinds = set()
     refalsified = 0
     # extras: blockers and minimization; seed 18 re-falsifies a learned
-    # clause under lscb with analyze 1, which gives a null conflict clause
-    grid = itertools.product(("ncb", "wcb", "rscb", "lscb"), (2, 1), (False, True), (3, 9, 17, 18))
-    for mode, analyze, extras, seed in grid:
+    # clause under lscb with analyze 1, which gives a null conflict clause.
+    # The default agility constants never restart on inputs this small.
+    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", 0.95)
+    monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", 0.3)
+    grid = itertools.product(
+        ("ncb", "wcb", "rscb", "lscb"), (2, 1), (False, True), ("off", "agility"), (3, 9, 17, 18)
+    )
+    for mode, analyze, extras, restarts, seed in grid:
         events = []
         f = random_3sat(20, 91, seed)
-        cfg = SolverConfig(mode, analyze, cb_threshold=1, minimize=extras, blockers=extras)
+        cfg = SolverConfig(
+            mode, analyze, cb_threshold=1, minimize=extras, blockers=extras, restarts=restarts
+        )
         s = Solver(f.copy(), cfg, trace=events.append)
         s.solve()
         reimplications += s.stats.reimplications
@@ -175,7 +183,7 @@ def test_trace_replay_reconstructs_final_trail():
         refalsified += any(e["kind"] == "conflict" and e["clause"] is None for e in events)
     assert reimplications > 0  # the soak must cover the reimply event path
     assert refalsified > 0
-    assert kinds >= TRACE_KINDS - {"restart"}
+    assert kinds >= TRACE_KINDS
     with pytest.raises(ValueError):
         replay_trace([{"kind": "no-such-event"}])
 
