@@ -5,8 +5,7 @@ lscb), two conflict-analysis strategies, an executable invariant checker,
 and a benchmark harness comparing propagation counts across modes.
 """
 
-from .analyze import LearnedClause, analyze, minimize
-from .backtrack import backtrack
+from .analyze import LearnedClause, minimize
 from .checker import Violation, check_ids
 from .formula import (
     Clause,
@@ -37,8 +36,6 @@ __all__ = [
     "UNDEF",
     "Verdict",
     "Violation",
-    "analyze",
-    "backtrack",
     "check_ids",
     "choose_backtrack_level",
     "lit_from_int",

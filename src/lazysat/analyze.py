@@ -148,8 +148,6 @@ def minimize(state, learned):
     memo = {}  # trail literal -> removable; False while its walk is open
 
     def removable(root):
-        if root in memo:
-            return memo[root]
         memo[root] = False
         stack = [(root, 0, 0)]  # trail literal, implying-clause slot, literal index
         while stack:

@@ -16,7 +16,7 @@ import sys
 import time
 
 from .formula import parse_dimacs, write_dimacs
-from .solver import CHECK_LEVELS, MODES, RESTARTS, Solver, SolverConfig, Stats
+from .solver import CHECK_LEVELS, MODES, Solver, SolverConfig, Stats
 from .testkit import random_3sat, satlib_clause_count
 
 EXIT_SAT = 10
@@ -72,7 +72,6 @@ def _add_config_flags(cmd, cb_threshold):
     cmd.add_argument("--cb-threshold", type=int, default=cb_threshold)
     cmd.add_argument("--minimize", action="store_true")
     cmd.add_argument("--blockers", action="store_true")
-    cmd.add_argument("--restarts", choices=RESTARTS, default="off")
 
 
 def _config_from(args, mode=None):
@@ -82,7 +81,6 @@ def _config_from(args, mode=None):
         cb_threshold=args.cb_threshold,
         minimize=args.minimize,
         blockers=args.blockers,
-        restarts=args.restarts,
         check_level=getattr(args, "check", "off"),
     )
 

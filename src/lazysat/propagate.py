@@ -5,10 +5,9 @@ pending queue in a single frame: the state's arrays are bound to locals
 once per call, the head and the propagation count are kept in locals and
 written back on exit, and each queued literal visits the clauses watching
 its negation in one inline loop.  An implied literal is assigned inline
-too.  When the state has checked asserts, a trace callback or an
-``on_assign`` callback, implications go through ``enqueue_implied`` and
-pops through ``pop_next`` instead, which own those hooks; the search is the
-same either way.
+too.  When the state has checked asserts or a trace callback, implications
+go through ``enqueue_implied`` and pops through ``pop_next`` instead, which
+own those hooks; the search is the same either way.
 
 One code path serves all backtracking modes.  The mode only changes the
 skip condition when the other watched literal is already satisfied: the
@@ -146,9 +145,9 @@ class Propagator:
         wl = self.wl
         lazy_mode = self.lazy_mode
         blockers = self.blockers
-        # checked asserts, trace events and the agility callback live in
-        # enqueue_implied and pop_next; without any of them both run inline
-        hooked = st.checked or st.trace is not None or st.on_assign is not None
+        # checked asserts and trace events live in enqueue_implied and
+        # pop_next; without either both run inline
+        hooked = st.checked or st.trace is not None
         head = st.head
         props = 0
         while head < len(trail):

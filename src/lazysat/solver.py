@@ -1,4 +1,4 @@
-"""The CDCL main loop: decisions, propagation, conflict handling, restarts.
+"""The CDCL main loop: decisions, propagation and conflict handling.
 
 One solver instance owns one formula, one trail, and one watch structure;
 instances are independent.  All behaviour is deterministic for a fixed
@@ -21,14 +21,11 @@ from .propagate import Propagator
 from .state import FALSE, TRUE, UNDEF, TrailState
 
 MODES = ("ncb", "wcb", "rscb", "lscb")
-RESTARTS = ("off", "agility")
 CHECK_LEVELS = ("off", "coarse", "fine")
 
 VSIDS_BUMP = 1.0
 VSIDS_DECAY = 0.95  # the bump grows by 1/VSIDS_DECAY per conflict
 VSIDS_RESCALE = 1e100
-AGILITY_DECAY = 0.9999  # weight of the agility average's history
-AGILITY_LIMIT = 0.20  # agility restarts fire below this average
 
 
 @dataclass
@@ -38,7 +35,6 @@ class SolverConfig:
     cb_threshold: int = 100
     minimize: bool = False
     blockers: bool = False
-    restarts: str = "off"
     check_level: str = "off"
 
     def __post_init__(self):
@@ -48,8 +44,6 @@ class SolverConfig:
             raise ValueError("analyze strategy must be 1 or 2")
         if self.cb_threshold < 1:
             raise ValueError("cb_threshold must be >= 1")
-        if self.restarts not in RESTARTS:
-            raise ValueError("unknown restart policy %r" % self.restarts)
         if self.check_level not in CHECK_LEVELS:
             raise ValueError("unknown check level %r" % self.check_level)
 
@@ -62,7 +56,6 @@ class Stats:
     learned: int = 0
     reimplications: int = 0
     mli_detected: int = 0
-    restarts: int = 0
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.FIELDS}
@@ -132,22 +125,6 @@ def choose_backtrack_level(learned, cfg):
     return learned.second_level
 
 
-class Agility:
-    """Exponential moving average of phase flips on assignment (the trail
-    state's ``on_assign`` callback).  Kept apart from the solver so that the
-    trail state holds no reference back to it."""
-
-    __slots__ = ("value", "decay")
-
-    def __init__(self, decay):
-        self.value = 1.0
-        self.decay = decay
-
-    def __call__(self, lit, flipped):
-        decay = self.decay
-        self.value = self.value * decay + (1.0 - decay) * (1.0 if flipped else 0.0)
-
-
 class Solver:
     def __init__(self, formula: Formula, cfg: SolverConfig | None = None, trace=None):
         self.formula = formula
@@ -162,21 +139,12 @@ class Solver:
         self.order = DecisionOrder(self.activity)
         self.state.order = self.order  # backtracking requeues what it unassigns
         self.var_inc = VSIDS_BUMP
-        self._agility = Agility(AGILITY_DECAY)
-        self._restart_conflicts = -1  # conflict count at the last restart
         self.violations = Counter()  # invariant id -> observed count at checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
         self._solved = False
         self._fine = self.cfg.check_level == "fine"  # check after every pop
-        if self.cfg.restarts == "agility":
-            self.state.on_assign = self._agility
 
     # -- small hooks -------------------------------------------------------
-
-    @property
-    def agility(self):
-        """Current agility average; restarts fire when it sinks below the limit."""
-        return self._agility.value
 
     def _checkpoint(self):
         if self.cfg.check_level == "off":
@@ -230,31 +198,6 @@ class Solver:
             self.var_inc *= 1.0 / VSIDS_RESCALE
             order.rebuild(self.state.val)
         self.var_inc /= VSIDS_DECAY
-
-    def maybe_restart(self):
-        """Restart (backtrack to the root) when the agility average sinks
-        below AGILITY_LIMIT.  Only consulted at decision points.
-
-        After a restart, the next one waits for a conflict: phase saving
-        replays the same assignments without flips, so agility alone could
-        fall below the limit again and restart forever.
-        """
-        if self.cfg.restarts != "agility":
-            return False
-        if not self.state.decisions:
-            return False
-        if self.stats.conflicts == self._restart_conflicts:
-            return False
-        if self.agility >= AGILITY_LIMIT:
-            return False
-        run_backtrack(self.state, 0, self.cfg.mode, self.stats)
-        self.stats.restarts += 1
-        self._restart_conflicts = self.stats.conflicts
-        self._agility.value = 1.0
-        if self.state.trace is not None:
-            self.state.trace({"kind": "restart", "count": self.stats.restarts})
-        self._checkpoint()
-        return True
 
     # -- learned clause installation ----------------------------------------
 
@@ -332,8 +275,7 @@ class Solver:
         """One macro step of the main loop: propagate, then act on the result.
 
         Returns its kind: "sat" (every variable is assigned), "unsat",
-        "decide", "restart" or "learn" (a conflict episode installed a
-        clause).
+        "decide" or "learn" (a conflict episode installed a clause).
         """
         st = self.state
         # bound here, not stored: a stored bound method would tie the solver to itself
@@ -342,8 +284,6 @@ class Solver:
             self._checkpoint()
             if len(st.trail) == self.formula.num_vars:
                 return "sat"
-            if self.maybe_restart():
-                return "restart"
             st.enqueue_decision(self.decide())
             self.stats.decisions += 1
             self._checkpoint()

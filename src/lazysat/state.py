@@ -37,7 +37,6 @@ class TrailState:
         self.decisions = []
         self.checked = checked
         self.trace = trace
-        self.on_assign = None  # callback(lit, flipped) used for agility tracking
         self.order = None  # the solver's DecisionOrder; backtrack requeues into it
 
     # -- queries ---------------------------------------------------------
@@ -61,11 +60,8 @@ class TrailState:
         self.val[lit ^ 1] = FALSE
         self.level[v] = lvl
         self.reason[v] = reason
-        flipped = (lit & 1) != self.saved_phase[v]
         self.saved_phase[v] = lit & 1
         self.trail.append(lit)
-        if self.on_assign is not None:
-            self.on_assign(lit, flipped)
 
     def enqueue_decision(self, lit):
         """Append a decision to the pending queue and open a new level."""

@@ -346,8 +346,8 @@ def replay_trace(events):
         elif kind == "backtrack":
             trail = [t for t in trail if t[1] <= e["to"]]
             head = e["head"]
-        elif kind in ("set_lazy", "conflict", "resolve", "learn", "restart", "result"):
-            pass  # learn and restart follow their own imply and backtrack events
+        elif kind in ("set_lazy", "conflict", "resolve", "learn", "result"):
+            pass  # learn follows its own imply event
         else:
             raise ValueError("unknown trace event kind %r" % kind)
     return trail, head

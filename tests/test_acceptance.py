@@ -203,10 +203,9 @@ def test_propagation_count_trend():
         if probe.solve().sat:
             continue
         count += 1
-        # the probe is the ncb run: restarts already default to "off"
         per["ncb"].append(probe.stats.propagations)
         for mode in ("wcb", "rscb", "lscb"):
-            cfg = SolverConfig(mode=mode, analyze=2, cb_threshold=1, restarts="off")
+            cfg = SolverConfig(mode=mode, analyze=2, cb_threshold=1)
             s = Solver(f.copy(), cfg)
             verdict = s.solve()
             assert not verdict.sat
@@ -337,7 +336,6 @@ def test_determinism_byte_identical_csv():
         cb_threshold=1,
         minimize=False,
         blockers=False,
-        restarts="off",
         wall_time=False,
     )
     outputs = []

@@ -114,25 +114,19 @@ def _scan_decide(solver):
 
 
 def test_decide_matches_activity_scan(monkeypatch):
-    # VSIDS_DECAY -> (instances, agility limit).  Decay 0.5 doubles the bump
-    # each conflict, so the 80-variable runs pass the 1e100 rescale and
-    # rebuild the heap mid-search.  Each limit lets agility restart a few
-    # times; higher ones restart before reaching the next conflict, forever.
+    # VSIDS_DECAY -> instances.  Decay 0.5 doubles the bump each conflict,
+    # so the 80-variable runs pass the 1e100 rescale and rebuild the heap
+    # mid-search.
     groups = {
-        0.95: ([random_3sat(30, 128, seed) for seed in range(4)], 0.2),
-        0.5: ([random_3sat(80, 341, seed) for seed in (0, 1)], 0.1),
+        0.95: [random_3sat(30, 128, seed) for seed in range(4)],
+        0.5: [random_3sat(80, 341, seed) for seed in (0, 1)],
     }
-    restarted = 0
-    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", 0.95)
-    for mode, restarts, decay in itertools.product(
-        ("ncb", "wcb", "rscb", "lscb"), ("off", "agility"), (0.95, 0.5)
-    ):
-        instances, agility_limit = groups[decay]
+    for mode, decay in itertools.product(("ncb", "wcb", "rscb", "lscb"), (0.95, 0.5)):
+        instances = groups[decay]
         monkeypatch.setattr(solver_mod, "VSIDS_DECAY", decay)
-        monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", agility_limit)
         rescales = 0
         for f in instances:
-            c = cfg(mode=mode, cb_threshold=1, restarts=restarts)
+            c = cfg(mode=mode, cb_threshold=1)
             s = Solver(f.copy(), c)
             n = f.num_vars
             last_inc = [s.var_inc]
@@ -143,17 +137,15 @@ def test_decide_matches_activity_scan(monkeypatch):
                     rescales += 1
                 last_inc[0] = s.var_inc
                 got = Solver.decide(s)
-                assert got == _scan_decide(s), (mode, restarts, decay)
+                assert got == _scan_decide(s), (mode, decay)
                 assert len(s.order.heap) <= 2 * n
                 return got
 
             s.decide = checked_decide
             s.solve()
             assert s.stats.decisions > 0
-            restarted += s.stats.restarts
         if decay == 0.5:
-            assert rescales > 0, (mode, restarts)
-    assert restarted > 0
+            assert rescales > 0, mode
 
 
 def test_solver_leaves_no_reference_cycle():
@@ -164,13 +156,18 @@ def test_solver_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        for mode, (restarts, check) in itertools.product(
-            ("ncb", "wcb", "rscb", "lscb"), (("off", "off"), ("agility", "off"), ("off", "fine"))
-        ):
-            s = Solver(f.copy(), cfg(mode=mode, restarts=restarts, check_level=check))
+        # default flags, fine checks, and the analysis flags of the
+        # checked-30 workload (which minimizes with GC off) plus blockers
+        variants = (
+            {},
+            {"check_level": "fine"},
+            {"analyze": 1, "minimize": True, "blockers": True, "check_level": "coarse"},
+        )
+        for mode, flags in itertools.product(("ncb", "wcb", "rscb", "lscb"), variants):
+            s = Solver(f.copy(), cfg(mode=mode, **flags))
             s.solve()
             del s
-            assert gc.collect() == 0, (mode, restarts, check)
+            assert gc.collect() == 0, (mode, flags)
     finally:
         if enabled:
             gc.enable()
@@ -198,73 +195,6 @@ def test_activity_replay_log_reproduces_ordering():
         # identical ordering (and in fact identical values)
         assert act == s.activity
     assert total_conflicts >= 100
-
-
-def test_restarts_off_never_restarts():
-    f = random_3sat(20, 91, 1)
-    s = Solver(f.copy(), cfg(restarts="off"))
-    s.solve()
-    assert s.stats.restarts == 0
-
-
-def test_agility_above_limit_no_restart():
-    f = Formula(3)
-    f.add_clause([1, 2, 3])
-    s = Solver(f, cfg(restarts="agility"))
-    s.prop.init_watches()
-    s._fine = None
-    s.state.enqueue_decision(s.decide())
-    assert s.agility > solver_mod.AGILITY_LIMIT
-    assert s.maybe_restart() is False
-
-
-def test_agility_ema_matches_offline_recomputation(monkeypatch):
-    # drive assignments that never flip the saved phase: the average decays
-    # geometrically and the restart fires exactly when it crosses the limit
-    decay, limit = 0.9, 0.2
-    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", decay)
-    monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", limit)
-    f = Formula(40)
-    f.add_clause([1, 2])
-    s = Solver(f, cfg(restarts="agility"))
-    expected = 1.0
-    fired_at = None
-    for i, v in enumerate(range(2, 30)):
-        s.state.enqueue_decision(lit(-v))  # matches the initial negative phase
-        expected = expected * decay  # offline EMA: no flips ever
-        assert abs(s.agility - expected) < 1e-12
-        if s.maybe_restart():
-            fired_at = i
-            break
-    import math
-
-    want = math.ceil(math.log(limit) / math.log(decay))
-    assert fired_at is not None
-    assert fired_at + 1 == want
-    assert s.stats.restarts == 1
-
-
-def test_agility_restarts_wait_for_a_conflict(monkeypatch):
-    # phase saving replays the same assignments after a restart, so agility
-    # alone falls below the limit again; without a conflict between two
-    # restarts this instance restarted forever
-    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", 0.95)
-    monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", 0.3)
-    monkeypatch.setattr(solver_mod, "VSIDS_DECAY", 0.5)
-    f = random_3sat(80, 341, 0)
-    s = Solver(f, cfg(restarts="agility"))
-    assert s.setup() is None
-    conflicts_at_restart = []
-    kind = None
-    for _ in range(5000):
-        kind = s.step()
-        if kind in ("sat", "unsat"):
-            break
-        if kind == "restart":
-            conflicts_at_restart.append(s.stats.conflicts)
-    assert kind == "unsat"
-    assert len(conflicts_at_restart) > 1
-    assert all(a < b for a, b in zip(conflicts_at_restart, conflicts_at_restart[1:]))
 
 
 def test_install_learned_binary_watches_both():
@@ -365,21 +295,18 @@ def test_stats_deterministic_and_monotone():
     assert a.stats.as_dict() == b.stats.as_dict()
 
 
-def test_flag_combination_soak_against_oracle(monkeypatch):
+def test_flag_combination_soak_against_oracle():
     import itertools
 
-    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", 0.95)
-    monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", 0.3)
     for n in (9, 13):
         m = satlib_clause_count(n)
         for seed in range(8):
             f = random_3sat(n, m, 70_000 + seed)
             expect = brute_force(f)
-            for mode, minimize, blockers, restarts in itertools.product(
+            for mode, minimize, blockers in itertools.product(
                 ("ncb", "wcb", "rscb", "lscb"),
                 (False, True),
                 (False, True),
-                ("off", "agility"),
             ):
                 c = cfg(
                     mode=mode,
@@ -387,11 +314,10 @@ def test_flag_combination_soak_against_oracle(monkeypatch):
                     cb_threshold=1,
                     minimize=minimize,
                     blockers=blockers,
-                    restarts=restarts,
                     check_level="coarse",
                 )
                 s = Solver(f.copy(), c)
-                assert s.solve().sat == expect, (n, seed, mode, minimize, blockers, restarts)
+                assert s.solve().sat == expect, (n, seed, mode, minimize, blockers)
                 assert s.violations.get(2, 0) == 0
                 assert s.violations.get(3, 0) == 0
 

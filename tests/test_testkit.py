@@ -1,9 +1,11 @@
 import ast
+import inspect
 import itertools
+import pkgutil
 
 import pytest
 
-import lazysat.solver as solver_mod
+import lazysat
 import lazysat.testkit
 from lazysat.cli import load_dimacs_dir
 from lazysat.formula import Formula, lit_to_int, write_dimacs
@@ -29,6 +31,11 @@ def test_brute_force_trivial_cases():
     g.add_clause([1])
     g.add_clause([-1])
     assert brute_force(g) is False
+    h = Formula(1)
+    h.add_clause([])
+    assert brute_force(h) is False  # trivially unsat, decided before any search
+    with pytest.raises(ValueError):
+        brute_force(Formula(65))
 
 
 def test_brute_force_agrees_with_truth_table():
@@ -151,27 +158,20 @@ def test_lockstep_runner_shapes():
 
 # Every event kind the README's trace section lists.
 TRACE_KINDS = {"decide", "imply", "pop", "set_lazy", "backtrack", "reimply", "conflict"}
-TRACE_KINDS |= {"resolve", "learn", "restart", "result"}
+TRACE_KINDS |= {"resolve", "learn", "result"}
 
 
-def test_trace_replay_reconstructs_final_trail(monkeypatch):
+def test_trace_replay_reconstructs_final_trail():
     reimplications = 0
     kinds = set()
     refalsified = 0
     # extras: blockers and minimization; seed 18 re-falsifies a learned
     # clause under lscb with analyze 1, which gives a null conflict clause.
-    # The default agility constants never restart on inputs this small.
-    monkeypatch.setattr(solver_mod, "AGILITY_DECAY", 0.95)
-    monkeypatch.setattr(solver_mod, "AGILITY_LIMIT", 0.3)
-    grid = itertools.product(
-        ("ncb", "wcb", "rscb", "lscb"), (2, 1), (False, True), ("off", "agility"), (3, 9, 17, 18)
-    )
-    for mode, analyze, extras, restarts, seed in grid:
+    grid = itertools.product(("ncb", "wcb", "rscb", "lscb"), (2, 1), (False, True), (3, 9, 17, 18))
+    for mode, analyze, extras, seed in grid:
         events = []
         f = random_3sat(20, 91, seed)
-        cfg = SolverConfig(
-            mode, analyze, cb_threshold=1, minimize=extras, blockers=extras, restarts=restarts
-        )
+        cfg = SolverConfig(mode, analyze, cb_threshold=1, minimize=extras, blockers=extras)
         s = Solver(f.copy(), cfg, trace=events.append)
         s.solve()
         reimplications += s.stats.reimplications
@@ -200,3 +200,11 @@ def test_testkit_imports_only_formula_from_the_package():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert {name for name in imported if name.startswith((".", "lazysat"))} == {".formula"}
+
+
+def test_package_attributes_name_its_submodules():
+    # A re-export named like its submodule would shadow it: ``import
+    # lazysat.analyze as m`` would bind the function, not the module.
+    for info in pkgutil.iter_modules(lazysat.__path__):
+        __import__("lazysat." + info.name)
+        assert inspect.ismodule(getattr(lazysat, info.name)), info.name
