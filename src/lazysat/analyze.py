@@ -89,6 +89,9 @@ def analyze(state, conflict, strategy=2):
             if not seen[u]:
                 seen[u] = 1
                 lits.append(y)
+                if checked:
+                    # the state is read-only here, so once falsified is enough
+                    assert val[y] == FALSE, "resolvent must stay falsified"
                 if level[u] == dlev:
                     n += 1
         seen[v] = 0
@@ -96,10 +99,6 @@ def analyze(state, conflict, strategy=2):
         if n == 0:
             dlev, n = _top_level(lits, seen, level)
             i = len(trail)
-        if checked:
-            assert all(
-                val[x] == FALSE for x in lits if seen[x >> 1]
-            ), "resolvent must stay falsified"
     if steps:
         lits = [x for x in lits if seen[x >> 1]]
         source = None

@@ -14,16 +14,19 @@ or over the trail, exactly as the invariant is stated:
 7  lazy backward compatible     5 weakened by a stored-MLI alternative
 8  blocker variant              7 weakened by a low-enough satisfied blocker
 
-The clause scan skips a clause whose watches are both unfalsified, and a
-watch orientation whose other watch is satisfied at or below the falsified
-one's level (that alone satisfies 1, 4, 5, 7 and 8), before it builds any
-detail; the detail string is formatted only for a reported violation.
+The clause scan reads the watched literals each clause holds.  It skips a
+clause whose watches are both unfalsified, and a watch orientation whose
+other watch is satisfied at or below the falsified one's level (that alone
+satisfies 1, 4, 5, 7 and 8), before it builds any detail; the detail string
+is formatted only for a reported violation.  Likewise one pass over a
+reason that holds its literal, with every other literal falsified earlier
+on the trail, settles 2 and 3; only another reason is scanned for reports.
 
-Checks are read-only and O(total clause size).  Trail positions, which
-1, 3, 4, 5, 7 and 8 compare, are derived by one pass over the trail when
-one of those is requested.  Checks expect a quiescent state: a pending
-conflict legitimately violates 4/5/7 on the conflicting clause until
-backtracking and learned-clause installation finish.
+Checks are read-only and O(total clause size).  Trail positions are derived
+by one pass over the trail when an invariant other than 6 is checked.
+Checks expect a quiescent state: a pending conflict legitimately violates
+4/5/7 on the conflicting clause until backtracking and learned-clause
+installation finish.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def check_ids(state, formula, ids, blockers=False):
     level = state.level
     head = state.head
     clause_scan = inv1 or inv4 or inv5 or inv7 or inv8
-    if clause_scan or 3 in want:
+    if clause_scan or 2 in want or 3 in want:
         pos = [-1] * (state.num_vars + 1)  # trail index per variable, -1 if unassigned
         for p, lit in enumerate(state.trail):
             pos[lit >> 1] = p
@@ -67,13 +70,10 @@ def check_ids(state, formula, ids, blockers=False):
     if clause_scan:
         lazy_cl = state.lazy_cl
         for clause in formula.clauses:
-            lits = clause.lits
-            if len(lits) < 2:
-                continue
-            w0 = lits[clause.w0]
-            w1 = lits[clause.w1]
-            if val[w0] != FALSE and val[w1] != FALSE:
-                continue  # neither watch is falsified
+            w0 = clause.w0
+            w1 = clause.w1
+            if (val[w0] != FALSE and val[w1] != FALSE) or w0 == w1:
+                continue  # neither watch is falsified, or a unit clause (never watched)
             for c1, c2 in ((w0, w1), (w1, w0)):
                 if val[c1] != FALSE or pos[c1 >> 1] >= head:
                     continue  # ¬c1 not in the propagated prefix
@@ -115,6 +115,15 @@ def check_ids(state, formula, ids, blockers=False):
             if lit in dec:
                 continue
             reason = state.reason[v]
+            if reason is not None:
+                # a sound reason satisfies 2 and 3; only a broken one is reported
+                p = pos[v]
+                for x in reason.lits:
+                    if x != lit and (val[x ^ 1] != TRUE or pos[x >> 1] > p):
+                        break
+                else:
+                    if lit in reason.lits:
+                        continue
             if 2 in want:
                 if reason is None:
                     out.append(Violation(2, str(lit_to_int(lit)), "non-decision without reason"))
@@ -133,7 +142,6 @@ def check_ids(state, formula, ids, blockers=False):
                                 )
                             )
             if 3 in want and reason is not None:
-                p = pos[v]
                 for x in reason.lits:
                     if x == lit:
                         continue
@@ -147,8 +155,7 @@ def check_ids(state, formula, ids, blockers=False):
                         )
 
     if 6 in want:
-        for v in range(1, state.num_vars + 1):
-            clause = state.lazy_cl[v]
+        for v, clause in enumerate(state.lazy_cl):
             if clause is None:
                 continue
             plit = v << 1

@@ -25,18 +25,19 @@ def lit_to_int(lit: int) -> int:
 class Clause:
     """A stored disjunction with two watch slots and an optional blocker.
 
-    ``w0``/``w1`` are indices into ``lits``.  Unit clauses are never watched,
-    so their slots are meaningless.  ``search_pos`` is the rotating start
-    index for replacement scans during propagation; only clauses longer than
-    three use it, since a ternary clause has a single candidate.
+    ``w0``/``w1`` hold the two watched literals, as MiniSat's watches do; unit
+    clauses are never watched and hold ``lits[0]`` in both.  ``search_pos``
+    is the rotating start index for replacement scans during propagation;
+    only clauses longer than three use it, since a ternary clause has a
+    single candidate.
     """
 
     __slots__ = ("lits", "w0", "w1", "blocker", "learned", "index", "search_pos")
 
     def __init__(self, lits, learned=False, index=-1):
         self.lits = lits
-        self.w0 = 0
-        self.w1 = 1 if len(lits) > 1 else 0
+        self.w0 = lits[0]
+        self.w1 = lits[1] if len(lits) > 1 else lits[0]
         self.blocker = 0  # encoded literal, 0 = unset
         self.learned = learned
         self.index = index

@@ -16,11 +16,13 @@ satisfaction (or a stored missed lower implication) to be at a level not
 above the literal being propagated.  The lazy bookkeeping is inert outside
 lazy mode because the classical skip fires first.
 
-A ternary clause has exactly one replacement candidate, the literal in
-neither watch slot, so its visits resolve the replacement in place;
-``_search_idx`` scans every other clause length and is the reference the
-in-place answer agrees with.  Only ``_search_idx`` reads a clause's rotating
-``search_pos``, so the ternary path leaves it alone.
+A clause holds its watched literals, so a visit reads them without loading
+its literal list.  A ternary clause has exactly one replacement candidate,
+the literal in neither watch slot (its literal sum minus both watches), so
+its visits resolve the replacement in place; ``_search_idx`` scans every
+other clause length and is the reference the in-place answer agrees with.
+Only ``_search_idx`` reads a clause's rotating ``search_pos``, so the
+ternary path leaves it alone.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ class Propagator:
     # -- watch bookkeeping -------------------------------------------------
 
     def watch_clause(self, clause):
-        lits = clause.lits
-        self.wl[lits[clause.w0]].append(clause)
-        self.wl[lits[clause.w1]].append(clause)
+        self.wl[clause.w0].append(clause)
+        self.wl[clause.w1].append(clause)
         if self.blockers:
-            clause.blocker = lits[clause.w1]
+            clause.blocker = clause.w1
 
     def init_watches(self):
         """Fill the watch lists from the stored clauses, in clause order, and
@@ -62,9 +63,8 @@ class Propagator:
 
         Nothing changes when the clause already watches exactly those two.
         """
-        lits = clause.lits
-        a = lits[clause.w0]
-        b = lits[clause.w1]
+        a = clause.w0
+        b = clause.w1
         if (a == lit0 and b == lit1) or (a == lit1 and b == lit0):
             return
         for old in (a, b):
@@ -73,8 +73,8 @@ class Propagator:
         for new in (lit0, lit1):
             if new != a and new != b:
                 self.wl[new].append(clause)
-        clause.w0 = lits.index(lit0)
-        clause.w1 = lits.index(lit1)
+        clause.w0 = lit0
+        clause.w1 = lit1
 
     # -- replacement search --------------------------------------------------
 
@@ -117,7 +117,7 @@ class Propagator:
                 best_lit = x
                 best_lvl = lx
         if best_i < 0:
-            return clause.w0 if lits[clause.w0] == c1 else clause.w1
+            return lits.index(c1)
         return best_i
 
     # -- propagation ---------------------------------------------------------
@@ -165,9 +165,8 @@ class Propagator:
                         watchers[j] = clause
                         j += 1
                         continue
-                lits = clause.lits
-                a = lits[clause.w0]
-                c2 = lits[clause.w1] if a == c1 else a
+                a = clause.w0
+                c2 = clause.w1 if a == c1 else a
                 vc2 = val[c2]
                 if vc2 == TRUE:
                     if not lazy_mode or level[c2 >> 1] <= lvl_c1 or lazy_lvl[c2 >> 1] <= lvl_c1:
@@ -176,24 +175,23 @@ class Propagator:
                         watchers[j] = clause
                         j += 1
                         continue
+                lits = clause.lits
                 if len(lits) == 3:
                     # _search_idx's answer for its one candidate: take it unless
                     # it is falsified below c1 (a level tie moves off c1)
-                    ridx = 3 - clause.w0 - clause.w1
-                    r = lits[ridx]
+                    r = lits[0] + lits[1] + lits[2] - c1 - c2
                     if val[r] == FALSE and level[r >> 1] < lvl_c1:
                         r = c1
                 else:
-                    ridx = self._search_idx(clause, c1, c2)
-                    r = lits[ridx]
+                    r = lits[self._search_idx(clause, c1, c2)]
                 if r == c1:
                     watchers[j] = clause
                     j += 1
                 else:
-                    if lits[clause.w0] == c1:
-                        clause.w0 = ridx
+                    if a == c1:
+                        clause.w0 = r
                     else:
-                        clause.w1 = ridx
+                        clause.w1 = r
                     wl[r].append(clause)
                     if val[r ^ 1] != TRUE:
                         if blockers and val[r] == TRUE:

@@ -219,8 +219,8 @@ class Solver:
             clause = self.formula.store(learned.lits, learned=True)
             self.stats.learned += 1
             if len(learned.lits) > 1:
-                clause.w0 = clause.lits.index(lit)
-                clause.w1 = clause.lits.index(self._second_watch_lit(learned))
+                clause.w0 = lit
+                clause.w1 = self._second_watch_lit(learned)
                 self.prop.watch_clause(clause)
         st.enqueue_implied(lit, clause, learned.second_level)
         if st.trace is not None:

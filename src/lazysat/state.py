@@ -52,6 +52,19 @@ class TrailState:
                     best = lx
         return best
 
+    def _implied_level(self, lits, lit, message):
+        """``residual_level`` in the same pass that asserts the rest falsified."""
+        val = self.val
+        level = self.level
+        best = 0
+        for x in lits:
+            if x != lit:
+                assert val[x] == FALSE, message
+                lx = level[x >> 1]
+                if lx > best:
+                    best = lx
+        return best
+
     # -- transitions -----------------------------------------------------
 
     def _assign(self, lit, lvl, reason):
@@ -79,9 +92,8 @@ class TrailState:
         if self.checked:
             assert self.val[lit] == UNDEF, "implying an assigned variable"
             assert lit in reason.lits, "reason does not contain the implied literal"
-            rest = [x for x in reason.lits if x != lit]
-            assert all(self.val[x] == FALSE for x in rest), "reason not unit under the trail"
-            assert lvl == self.residual_level(reason.lits, lit), "implied level mismatch"
+            rest_level = self._implied_level(reason.lits, lit, "reason not unit under the trail")
+            assert lvl == rest_level, "implied level mismatch"
         self._assign(lit, lvl, reason)
         if self.trace is not None:
             self.trace(
@@ -102,10 +114,8 @@ class TrailState:
         if self.checked:
             assert self.val[lit] == TRUE, "MLI target must be satisfied"
             assert lit in clause.lits, "MLI clause must contain its literal"
-            assert all(
-                self.val[x] == FALSE for x in clause.lits if x != lit
-            ), "MLI rest must be falsified"
-            assert lvl == self.residual_level(clause.lits, lit), "MLI level mismatch"
+            rest_level = self._implied_level(clause.lits, lit, "MLI rest must be falsified")
+            assert lvl == rest_level, "MLI level mismatch"
             assert lvl < self.level[lit >> 1], "MLI must be strictly lower than the literal"
             assert lvl < self.lazy_lvl[lit >> 1], "MLI must improve the stored one"
         v = lit >> 1

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from lazysat.analyze import LearnedClause, analyze, minimize
 from lazysat.backtrack import backtrack
 from lazysat.formula import Clause, Formula, lit_from_int, lit_to_int
@@ -95,6 +97,22 @@ def test_analyze_immediate_stop_returns_source():
     assert ints(learned.lits) == [-1, -2]
     assert learned.asserting == lit(-2)
     assert learned.level == 2 and learned.second_level == 1
+
+
+def test_analyze_asserts_resolvent_stays_falsified():
+    # reason(2) = {2, -1, 3} is corrupt: 3 is unassigned, so resolving the
+    # conflict {-2, -1} on 2 adds a literal that is not falsified
+    for strategy in (1, 2):
+        f = Formula(3)
+        bad = f.add_clause([2, -1, 3])
+        conflict = f.add_clause([-2, -1])
+        st = TrailState(3)
+        st.enqueue_decision(lit(1))
+        st.enqueue_implied(lit(2), bad, 1)
+        st.head = len(st.trail)
+        st.checked = True
+        with pytest.raises(AssertionError, match="^resolvent must stay falsified$"):
+            analyze(st, conflict, strategy)
 
 
 def test_analyze1_reconflict_loop_matches_analyze2():

@@ -143,6 +143,20 @@ def test_trail_invariant_reports(inv, corrupt, expected):
     corrupt(st, f.clauses)
     subject, detail = expected.split(": ", 1)
     assert check_ids(st, f, (inv,)) == [Violation(inv, subject, detail)]
+    # and the filtered scan reports what the unfiltered one does, in order
+    want = _reference_trail_scan(st)
+    for ids in ((2,), (3,), (6,), (2, 3, 6)):
+        got = check_ids(st, f, ids)
+        assert _triples(got) == [t for t in _triples(want) if t[0] in ids], ids
+
+
+def test_trail_scan_reports_a_falsified_reason_without_its_literal():
+    # the reason of 2 becomes {-1}: falsified and before 2 on the trail, yet
+    # it lacks 2, so only the membership test can flag it
+    st, f = _trail_state()
+    st.reason[2] = f.add_clause([-1])
+    want = [Violation(2, "2", "reason lacks the implied literal")]
+    assert check_ids(st, f, (2, 3, 6)) == want == _reference_trail_scan(st)
 
 
 def test_inv8_checked_only_with_blockers():
@@ -166,6 +180,64 @@ def test_check_ids_matches_individual_checks():
     )
 
 
+def _triples(violations):
+    return [(v.invariant, v.subject, v.detail) for v in violations]
+
+
+def _reference_trail_scan(state):
+    """The unfiltered trail-invariant scan (ids 2, 3, 6), kept as an oracle.
+
+    Every implied literal's reason is tested for 2 and for 3 on its own, and
+    every stored MLI for 6, without first asking whether anything is wrong.
+    """
+    out = []
+    val = state.val
+    level = state.level
+    pos = trail_positions(state)
+    decisions = set(state.decisions)
+    for lit in state.trail:
+        if lit in decisions:
+            continue
+        v = lit >> 1
+        who = str(lit_to_int(lit))
+        reason = state.reason[v]
+        if reason is None:
+            out.append(Violation(2, who, "non-decision without reason"))
+            continue
+        rest = [x for x in reason.lits if x != lit]
+        if lit not in reason.lits:
+            out.append(Violation(2, who, "reason lacks the implied literal"))
+        else:
+            for x in rest:
+                if val[x ^ 1] != TRUE:
+                    detail = "reason literal %d not falsified" % lit_to_int(x)
+                    out.append(Violation(2, who, detail))
+        for x in rest:
+            if val[x ^ 1] != TRUE or pos[x >> 1] > pos[v]:
+                out.append(Violation(3, who, "reason literal %d not before it" % lit_to_int(x)))
+    for v in range(1, state.num_vars + 1):
+        mli = state.lazy_cl[v]
+        if mli is None:
+            continue
+        lit = v << 1 if val[v << 1] == TRUE else (v << 1) | 1
+        who = str(lit_to_int(lit))
+        if val[lit] != TRUE:
+            out.append(Violation(6, who, "stored MLI on unassigned variable"))
+        elif lit not in mli.lits:
+            out.append(Violation(6, who, "stored MLI lacks its literal"))
+        elif any(val[x ^ 1] != TRUE for x in mli.lits if x != lit):
+            out.append(Violation(6, who, "stored MLI rest not falsified"))
+        else:
+            residual = max((level[x >> 1] for x in mli.lits if x != lit), default=0)
+            if residual >= level[v]:
+                detail = "stored MLI level %s not below %s" % (residual, level[v])
+                out.append(Violation(6, who, detail))
+            if state.lazy_lvl[v] != residual:
+                detail = "cached MLI level %s differs from %s" % (state.lazy_lvl[v], residual)
+                out.append(Violation(6, who, detail))
+    return out
+
+
 def _reference_clause_scan(state, formula, blockers):
     """The straightforward clause-invariant scan (ids 1, 4, 5, 7, 8), kept as an oracle.
 
@@ -182,7 +254,7 @@ def _reference_clause_scan(state, formula, blockers):
         lits = clause.lits
         if len(lits) < 2:
             continue
-        pair = (lits[clause.w0], lits[clause.w1])
+        pair = (clause.w0, clause.w1)
         for c1, c2 in (pair, pair[::-1]):
             if not (val[c1 ^ 1] == TRUE and pos[c1 >> 1] < head):
                 continue
@@ -217,11 +289,9 @@ def _reference_clause_scan(state, formula, blockers):
 
 
 def test_check_ids_matches_reference_scan():
-    # the fast clause scan must report exactly what the straightforward one
-    # does, in the same order, at every step of real solves in every mode
-    def triples(violations):
-        return [(v.invariant, v.subject, v.detail) for v in violations]
-
+    # the fast clause and trail scans must report exactly what the
+    # straightforward ones do, in the same order, at every step of real
+    # solves in every mode
     fired = set()
     for mode in ("ncb", "wcb", "rscb", "lscb"):
         for blockers in (False, True):
@@ -234,10 +304,10 @@ def test_check_ids_matches_reference_scan():
                 kind = "setup"
                 while True:
                     got = check_ids(s.state, s.formula, ALL_INVARIANTS, blockers=blockers)
-                    want = _reference_clause_scan(s.state, s.formula, blockers) + check_ids(
-                        s.state, s.formula, (2, 3, 6)
-                    )
-                    assert triples(got) == triples(want), (mode, blockers, seed, kind)
+                    want = _reference_clause_scan(
+                        s.state, s.formula, blockers
+                    ) + _reference_trail_scan(s.state)
+                    assert _triples(got) == _triples(want), (mode, blockers, seed, kind)
                     fired.update(v.invariant for v in got)
                     if kind in ("sat", "unsat"):
                         break

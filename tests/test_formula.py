@@ -94,8 +94,8 @@ def test_add_clause_stores_watches_on_first_two():
     f = Formula(5)
     c = f.add_clause([2, 3, -5])
     assert c.to_ints() == [2, 3, -5]
-    assert c.lits[c.w0] == lit_from_int(2)
-    assert c.lits[c.w1] == lit_from_int(3)
+    assert c.w0 == lit_from_int(2)
+    assert c.w1 == lit_from_int(3)
 
 
 def test_add_clause_tautology_skipped():
@@ -140,7 +140,7 @@ def test_watch_slots_distinct_for_watched_clauses():
     for c in f.clauses:
         if len(c.lits) >= 2:
             assert c.w0 != c.w1
-            assert c.lits[c.w0] != c.lits[c.w1]
+            assert c.w0 in c.lits and c.w1 in c.lits
 
 
 def test_dimacs_roundtrip_on_normalized_form():

@@ -56,7 +56,7 @@ def test_search_idx_matches_full_scan_on_falsified_clauses():
         rng.shuffle(order)
         for x in order:
             st.enqueue_decision(x ^ 1)
-        c1, c2 = c.lits[c.w0], c.lits[c.w1]
+        c1, c2 = c.w0, c.w1
         prop = Propagator(f, st, "lscb", Stats())
         prop.init_watches()
         r = c.lits[prop._search_idx(c, c1, c2)]
@@ -73,7 +73,7 @@ def test_propagate_literal_records_mli_and_moves_watch():
     assert out["lazy_v2"] is c3
     assert out["lazy_level_v2"] == 1
     # its falsified watch moved off the implied-late literal
-    watched = {lit_to_int(c3.lits[c3.w0]), lit_to_int(c3.lits[c3.w1])}
+    watched = {lit_to_int(c3.w0), lit_to_int(c3.w1)}
     assert watched == {2, -5}
     assert rig.stats.mli_detected == 1
 
@@ -158,7 +158,7 @@ def test_watch_lists_consistent_with_watch_slots():
         for c in f.clauses:
             if len(c.lits) < 2:
                 continue
-            a, b = c.lits[c.w0], c.lits[c.w1]
+            a, b = c.w0, c.w1
             assert membership.pop((id(c), a)) == 1
             assert membership.pop((id(c), b)) == 1
         assert not membership
@@ -175,10 +175,11 @@ def test_deterministic_stats_for_fixed_seed_and_config():
         assert runs[0] == runs[1]
 
 
-# Ternary watch visits, table-driven: every (w0, w1) pair with c1 in either
-# slot, the third literal unassigned, true, or false below/at/above c1's
-# level, and c2 unassigned, true below or above c1's level, or false, in
-# both a classical and the lazy mode.  c1 is falsified at level 2.
+# Ternary watch visits, table-driven: every pair (w0, w1) of watched literal
+# positions with c1 in either slot, the third literal unassigned, true, or
+# false below/at/above c1's level, and c2 unassigned, true below or above
+# c1's level, or false, in both a classical and the lazy mode.  c1 is
+# falsified at level 2.
 C1_LEVEL = 2
 THIRD_STATES = [None, ("true", 2), ("false", 1), ("false", 2), ("false", 3)]
 C2_STATES = [None, ("true", 1), ("true", 3), ("false", 1)]
@@ -193,8 +194,8 @@ def ternary_case(mode, w0, w1, c1_slot, third, c2_state):
     Returns (state, propagator, clause, c1, c2)."""
     f = Formula(6)
     clause = f.add_clause([1, 2, 3])
-    clause.w0, clause.w1 = w0, w1
     lits = clause.lits
+    clause.w0, clause.w1 = lits[w0], lits[w1]
     c1 = lits[(w0, w1)[c1_slot]]
     c2 = lits[(w0, w1)[1 - c1_slot]]
     clause.search_pos = (w0, w1)[c1_slot]  # not the third slot, so a write shows
@@ -230,7 +231,7 @@ def test_ternary_watch_visit_matches_search_idx():
         level = st.level
         lvl_c1 = level[c1 >> 1]
         c2_true = st.val[c2] == TRUE
-        slots = [clause.w0, clause.w1]
+        slots = [clause.w0, clause.w1]  # the watched literals
         search_pos = clause.search_pos
         trail = list(st.trail)
         conflict = mli = implied_at = None
@@ -238,7 +239,7 @@ def test_ternary_watch_visit_matches_search_idx():
             ridx = ref_prop._search_idx(ref, c1, c2)
             r = clause.lits[ridx]
             if r != c1:
-                slots[slots.index(clause.lits.index(c1))] = ridx
+                slots[slots.index(c1)] = r
             if r == c1:
                 outcomes.add("keep")
             else:
@@ -264,7 +265,7 @@ def test_ternary_watch_visit_matches_search_idx():
             assert level[c2 >> 1] == implied_at, case
         assert st.lazy_cl[c2 >> 1] is mli, case
         holders = sorted(x for x, bucket in enumerate(prop.wl) for c in bucket if c is clause)
-        assert holders == sorted(clause.lits[k] for k in slots), case
+        assert holders == sorted(slots), case
     assert outcomes == {"keep", "move to false", "move to free", "conflict", "unit", "mli"}
 
 
@@ -295,9 +296,8 @@ def reference_propagate_literal(prop, lit):
                 watchers[j] = clause
                 j += 1
                 continue
-        lits = clause.lits
-        a = lits[clause.w0]
-        c2 = lits[clause.w1] if a == c1 else a
+        a = clause.w0
+        c2 = clause.w1 if a == c1 else a
         vc2 = val[c2]
         if vc2 == TRUE:
             if not lazy_mode or level[c2 >> 1] <= lvl_c1 or lazy_lvl[c2 >> 1] <= lvl_c1:
@@ -306,22 +306,21 @@ def reference_propagate_literal(prop, lit):
                 watchers[j] = clause
                 j += 1
                 continue
+        lits = clause.lits
         if len(lits) == 3:
-            ridx = 3 - clause.w0 - clause.w1
-            r = lits[ridx]
+            r = next(x for x in lits if x != c1 and x != c2)
             if val[r] == FALSE and level[r >> 1] < lvl_c1:
                 r = c1
         else:
-            ridx = prop._search_idx(clause, c1, c2)
-            r = lits[ridx]
+            r = lits[prop._search_idx(clause, c1, c2)]
         if r == c1:
             watchers[j] = clause
             j += 1
         else:
-            if lits[clause.w0] == c1:
-                clause.w0 = ridx
+            if clause.w0 == c1:
+                clause.w0 = r
             else:
-                clause.w1 = ridx
+                clause.w1 = r
             prop.wl[r].append(clause)
             if val[r ^ 1] != TRUE:
                 if blockers and val[r] == TRUE:

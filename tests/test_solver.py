@@ -213,7 +213,7 @@ def test_install_learned_binary_watches_both():
     clause = rig.install(learned)
     assert clause.learned
     assert sorted(clause.to_ints()) == [-3, -1]
-    watched = {clause.lits[clause.w0], clause.lits[clause.w1]}
+    watched = {clause.w0, clause.w1}
     assert watched == set(clause.lits)
 
 

@@ -53,6 +53,52 @@ def test_enqueue_implied_checks_unit_reason():
         st.enqueue_implied(lit(1), c, 0)  # rest of the clause is not falsified
 
 
+# Each case breaks the named assert and every one tested after it, so the
+# message shows both that the assert fires and that it is tested first.
+@pytest.mark.parametrize(
+    "decided, clause, implied, lvl, message",
+    [
+        ([1], [2, 3], 1, 5, "implying an assigned variable"),
+        ([], [2, 3], 1, 5, "reason does not contain the implied literal"),
+        ([], [1, 2, 3], 1, 5, "reason not unit under the trail"),
+        ([-2], [1, 2], 1, 0, "implied level mismatch"),
+    ],
+)
+def test_enqueue_implied_checked_asserts(decided, clause, implied, lvl, message):
+    f = Formula(3)
+    reason = f.add_clause(clause)
+    st = TrailState(3, checked=True)
+    for n in decided:
+        st.enqueue_decision(lit(n))
+    with pytest.raises(AssertionError, match="^%s$" % message):
+        st.enqueue_implied(lit(implied), reason, lvl)
+
+
+# 1, 3 and 4 are decided at levels 1, 2 and 3; {3, -1} is a stored MLI of 3
+# at level 1 when ``stored`` is set.
+@pytest.mark.parametrize(
+    "target, clause, lvl, stored, message",
+    [
+        (-3, [-1, 2], 7, False, "MLI target must be satisfied"),
+        (3, [-1, 2], 7, False, "MLI clause must contain its literal"),
+        (3, [3, 2], 7, False, "MLI rest must be falsified"),
+        (3, [3, -1], 0, False, "MLI level mismatch"),
+        (3, [3, -4], 3, False, "MLI must be strictly lower than the literal"),
+        (3, [3, -1], 1, True, "MLI must improve the stored one"),
+    ],
+)
+def test_set_lazy_checked_asserts(target, clause, lvl, stored, message):
+    f = Formula(4)
+    mli = f.add_clause(clause)
+    st = TrailState(4, checked=True)
+    for n in (1, 3, 4):
+        st.enqueue_decision(lit(n))
+    if stored:
+        st.set_lazy(lit(3), f.add_clause([3, -1]), 1)
+    with pytest.raises(AssertionError, match="^%s$" % message):
+        st.set_lazy(lit(target), mli, lvl)
+
+
 def test_pop_next_moves_head():
     st = TrailState(3)
     st.enqueue_decision(lit(1))
