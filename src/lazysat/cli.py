@@ -74,14 +74,14 @@ def _add_config_flags(cmd, cb_threshold):
     cmd.add_argument("--blockers", action="store_true")
 
 
-def _config_from(args, mode=None):
+def _config_from(args, mode, check="off"):
     return SolverConfig(
-        mode=mode or args.mode,
+        mode=mode,
         analyze=args.analyze,
         cb_threshold=args.cb_threshold,
         minimize=args.minimize,
         blockers=args.blockers,
-        check_level=getattr(args, "check", "off"),
+        check_level=check,
     )
 
 
@@ -108,7 +108,7 @@ def read_dimacs(path, name):
 
 def cmd_solve(args):
     formula = read_dimacs(args.file, args.file)
-    cfg = _config_from(args)
+    cfg = _config_from(args, args.mode, args.check)
     with contextlib.ExitStack() as outputs:
         stats_fh = None
         trace = None
@@ -227,6 +227,8 @@ def render_bench_csv(rows):
 
 def cmd_bench(args):
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes or len(set(modes)) != len(modes):
+        raise ValueError("--modes must name each mode once, got %r" % args.modes)
     for mode in modes:
         _config_from(args, mode)  # rejects an unknown mode or a bad flag value
     instances = []

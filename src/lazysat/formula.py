@@ -175,8 +175,13 @@ def parse_dimacs(text: str) -> Formula:
 
 
 def write_dimacs(formula: Formula) -> str:
-    """Serialize all stored clauses back to DIMACS (normalized form)."""
-    out = ["p cnf %d %d" % (formula.num_vars, len(formula.clauses))]
+    """Serialize all stored clauses back to DIMACS (normalized form).
+
+    Empty clauses are not stored, only recorded as ``trivially_unsat``;
+    such a formula ends in one empty clause, so it stays unsatisfiable.
+    """
+    empty = ["0"] if formula.trivially_unsat else []
+    out = ["p cnf %d %d" % (formula.num_vars, len(formula.clauses) + len(empty))]
     for clause in formula.clauses:
         out.append(" ".join(str(i) for i in clause.to_ints()) + " 0")
-    return "\n".join(out) + "\n"
+    return "\n".join(out + empty) + "\n"

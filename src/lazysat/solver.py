@@ -149,11 +149,8 @@ class Solver:
     def _checkpoint(self):
         if self.cfg.check_level == "off":
             return
-        found = checker.check_ids(
-            self.state, self.formula, checker.ALL_INVARIANTS, blockers=self.cfg.blockers
-        )
-        for violation in found:
-            self.violations[violation.invariant] += 1
+        for v in checker.check_ids(self.state, self.formula):
+            self.violations[v.invariant] += 1
 
     # -- decisions ---------------------------------------------------------
 

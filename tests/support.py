@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from lazysat.analyze import analyze as run_analysis
 from lazysat.backtrack import backtrack
+from lazysat.checker import check_ids
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import TRUE
@@ -219,6 +220,11 @@ def trail_positions(state):
     for p, lit in enumerate(state.trail):
         pos[lit >> 1] = p
     return pos
+
+
+def violations(state, formula, *ids):
+    """The checker's reports on the given invariant ids, in its order."""
+    return [v for v in check_ids(state, formula) if v.invariant in ids]
 
 
 def state_hash(state, formula):

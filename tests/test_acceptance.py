@@ -298,7 +298,7 @@ def test_topological_order_after_reimplication():
     def spy(state, d, mode, stats=None):
         orig(state, d, mode, stats)
         backtracks[0] += 1
-        found = check_ids(state, current["formula"], (3,))
+        found = [v for v in check_ids(state, current["formula"]) if v.invariant == 3]
         if found:
             violations.extend(found)
 

@@ -7,7 +7,7 @@ from lazysat.backtrack import backtrack
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import INF, UNDEF
 from lazysat.testkit import random_3sat, satlib_clause_count
-from support import s1_replay
+from support import s1_replay, violations
 
 
 def test_wcb_keeps_low_literals_without_repair():
@@ -179,6 +179,4 @@ def test_lazy_entries_of_kept_literals_survive():
     rig = out["rig"]
     st = rig.state
     # plant a fresh scenario: the MLI on 2 was consumed; rebuild one on 5
-    from lazysat.checker import check_ids
-
-    assert check_ids(st, rig.formula, (6,)) == []
+    assert violations(st, rig.formula, 6) == []

@@ -2,25 +2,25 @@ from operator import setitem
 
 import pytest
 
-from lazysat.checker import ALL_INVARIANTS, Violation, check_ids
+from lazysat.checker import Violation, check_ids
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import INF, TRUE, UNDEF, TrailState
 from lazysat.testkit import random_3sat
-from support import s1_replay, state_hash, trail_positions
+from support import s1_replay, state_hash, trail_positions, violations
 
 
 def test_wcb_replay_violates_strong_watches_only():
     out = s1_replay("wcb")
     rig = out["rig"]
-    found4 = check_ids(rig.state, rig.formula, (4,))
+    found4 = violations(rig.state, rig.formula, 4)
     assert found4, "the missed implication must show as a strong-watch violation"
     assert any(v.subject == "C3" for v in found4)
     # the weak form still holds on the same state
-    assert check_ids(rig.state, rig.formula, (1,)) == []
+    assert violations(rig.state, rig.formula, 1) == []
     # and the basic trail invariants are untouched
-    assert check_ids(rig.state, rig.formula, (2,)) == []
-    assert check_ids(rig.state, rig.formula, (3,)) == []
+    assert violations(rig.state, rig.formula, 2) == []
+    assert violations(rig.state, rig.formula, 3) == []
 
 
 def test_lscb_replay_keeps_lazy_invariants():
@@ -46,8 +46,8 @@ def test_lscb_replay_keeps_lazy_invariants():
     # clause, so only the trail-side invariants are due at this point; the
     # full solver path (which installs) is covered by the matrix soaks
     for inv in (1, 2, 3, 6):
-        assert check_ids(rig.state, rig.formula, (inv,)) == [], "invariant %d" % inv
-    leftover = {v.subject for v in check_ids(rig.state, rig.formula, (4,))}
+        assert violations(rig.state, rig.formula, inv) == [], "invariant %d" % inv
+    leftover = {v.subject for v in violations(rig.state, rig.formula, 4)}
     assert leftover == {"C4"}  # exactly the un-reasserted conflict clause
 
 
@@ -55,8 +55,7 @@ def test_check_is_side_effect_free():
     out = s1_replay("wcb")
     rig = out["rig"]
     before = state_hash(rig.state, rig.formula)
-    for inv in ALL_INVARIANTS:
-        check_ids(rig.state, rig.formula, (inv,))
+    check_ids(rig.state, rig.formula)
     assert state_hash(rig.state, rig.formula) == before
 
 
@@ -68,8 +67,8 @@ def test_inv5_violations_contain_inv7_violations():
             f = random_3sat(14, 60, seed)
             s = Solver(f.copy(), SolverConfig(mode=mode, cb_threshold=1))
             s.solve()
-            v5 = {(v.subject) for v in check_ids(s.state, s.formula, (5,))}
-            v7 = {(v.subject) for v in check_ids(s.state, s.formula, (7,))}
+            v5 = {(v.subject) for v in violations(s.state, s.formula, 5)}
+            v7 = {(v.subject) for v in violations(s.state, s.formula, 7)}
             assert v7 <= v5
 
 
@@ -79,9 +78,9 @@ def test_inv4_implied_by_inv5_and_inv7():
             f = random_3sat(14, 60, seed)
             s = Solver(f.copy(), SolverConfig(mode=mode, cb_threshold=1))
             s.solve()
-            v4 = {v.subject for v in check_ids(s.state, s.formula, (4,))}
-            v5 = {v.subject for v in check_ids(s.state, s.formula, (5,))}
-            v7 = {v.subject for v in check_ids(s.state, s.formula, (7,))}
+            v4 = {v.subject for v in violations(s.state, s.formula, 4)}
+            v5 = {v.subject for v in violations(s.state, s.formula, 5)}
+            v7 = {v.subject for v in violations(s.state, s.formula, 7)}
             assert v4 <= v5
             assert v4 <= v7
 
@@ -101,9 +100,9 @@ def test_inv6_catches_stale_cache():
     st.enqueue_decision(lit_from_int(1))
     st.enqueue_decision(lit_from_int(3))
     st.set_lazy(lit_from_int(3), mli, 1)
-    assert check_ids(st, f, (6,)) == []
+    assert violations(st, f, 6) == []
     st.lazy_lvl[3] = 0  # corrupt the cache
-    assert check_ids(st, f, (6,))
+    assert violations(st, f, 6)
 
 
 def _trail_state():
@@ -139,14 +138,14 @@ def _trail_state():
 def test_trail_invariant_reports(inv, corrupt, expected):
     # one broken field per case, and exactly the one report it causes
     st, f = _trail_state()
-    assert check_ids(st, f, (2, 3, 6)) == []
+    assert violations(st, f, 2, 3, 6) == []
     corrupt(st, f.clauses)
     subject, detail = expected.split(": ", 1)
-    assert check_ids(st, f, (inv,)) == [Violation(inv, subject, detail)]
-    # and the filtered scan reports what the unfiltered one does, in order
+    assert violations(st, f, inv) == [Violation(inv, subject, detail)]
+    # and the checker's trail reports are the reference scan's, in order
     want = _reference_trail_scan(st)
     for ids in ((2,), (3,), (6,), (2, 3, 6)):
-        got = check_ids(st, f, ids)
+        got = violations(st, f, *ids)
         assert _triples(got) == [t for t in _triples(want) if t[0] in ids], ids
 
 
@@ -156,28 +155,19 @@ def test_trail_scan_reports_a_falsified_reason_without_its_literal():
     st, f = _trail_state()
     st.reason[2] = f.add_clause([-1])
     want = [Violation(2, "2", "reason lacks the implied literal")]
-    assert check_ids(st, f, (2, 3, 6)) == want == _reference_trail_scan(st)
+    assert violations(st, f, 2, 3, 6) == want == _reference_trail_scan(st)
 
 
 def test_inv8_checked_only_with_blockers():
+    # invariant 8 applies only to a clause whose blocker is set: the wcb
+    # replay maintains none, so its inv-7 violations have no inv-8 twin
+    rig = s1_replay("wcb")["rig"]
+    assert violations(rig.state, rig.formula, 7)
+    assert violations(rig.state, rig.formula, 8) == []
     f = random_3sat(12, 51, 2)
     s = Solver(f.copy(), SolverConfig(mode="lscb", cb_threshold=1, blockers=True))
-    s.solve()
-    assert check_ids(s.state, s.formula, (8,), blockers=True) == []
-    # without the flag the invariant is reported as not applicable
-    assert check_ids(s.state, s.formula, (8,), blockers=False) == []
-
-
-def test_check_ids_matches_individual_checks():
-    out = s1_replay("wcb")
-    rig = out["rig"]
-    combined = check_ids(rig.state, rig.formula, ALL_INVARIANTS)
-    singles = []
-    for inv in ALL_INVARIANTS:
-        singles.extend(check_ids(rig.state, rig.formula, (inv,)))
-    assert sorted((v.invariant, v.subject) for v in combined) == sorted(
-        (v.invariant, v.subject) for v in singles
-    )
+    assert s.solve().sat
+    assert violations(s.state, s.formula, 8) == []
 
 
 def _triples(violations):
@@ -303,7 +293,7 @@ def test_check_ids_matches_reference_scan():
                 assert s.setup() is None
                 kind = "setup"
                 while True:
-                    got = check_ids(s.state, s.formula, ALL_INVARIANTS, blockers=blockers)
+                    got = check_ids(s.state, s.formula)
                     want = _reference_clause_scan(
                         s.state, s.formula, blockers
                     ) + _reference_trail_scan(s.state)

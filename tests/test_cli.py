@@ -232,6 +232,31 @@ def test_bench_rejects_unknown_mode(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("modes", ["lscb,lscb", ""], ids=["duplicate", "empty"])
+def test_bench_rejects_duplicate_or_empty_modes(modes, capsys):
+    assert main(["bench", "--gen", "10", "43", "2", "0", "--modes", modes]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --modes must name each mode once, got %r\n" % modes
+
+
+def test_bench_wall_time_fills_only_wall_ms(capsys):
+    args = ["bench", "--gen", "10", "43", "3", "0"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(args + ["--wall-time"]) == 0
+    timed = capsys.readouterr().out.splitlines()
+    assert len(timed) == len(plain)
+    assert timed[0] == plain[0]
+    wall = plain[0].split(",").index("wall_ms")
+    for a, b in zip(plain[1:], timed[1:]):
+        a, b = a.split(","), b.split(",")
+        if not a[0].startswith("summary:"):
+            assert float(b[wall]) >= 0.0
+            a[wall] = b[wall] = ""
+        assert a == b
+
+
 def test_bench_verdict_disagreement_aborts(monkeypatch, capsys):
     class FlippedWcb(Solver):
         def solve(self):

@@ -150,7 +150,7 @@ def test_dimacs_roundtrip_on_normalized_form():
         lines = ["p cnf %d %d" % (nv, 0)]
         clauses = rng.randint(0, 20)
         for _ in range(clauses):
-            size = rng.randint(1, 4)
+            size = rng.randint(0, 4)  # 0: an empty clause, stored as trivially_unsat
             ints = [rng.choice([-1, 1]) * rng.randint(1, nv) for _ in range(size)]
             lines.append(" ".join(map(str, ints)) + " 0")
         text = "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from lazysat.solver import Solver, SolverConfig, choose_backtrack_level
 from lazysat.solver import SolverConfig as cfg
 from lazysat.state import UNDEF
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
-from support import s1_formula
+from support import s1_formula, violations
 
 
 def test_empty_formula_is_sat():
@@ -274,8 +274,6 @@ def test_mode_invariant_matrix_small_soak():
 
 
 def test_blockers_variant_keeps_verdicts_and_inv8():
-    from lazysat.checker import check_ids
-
     for seed in range(10):
         f = random_3sat(12, 51, seed)
         expect = brute_force(f)
@@ -283,7 +281,7 @@ def test_blockers_variant_keeps_verdicts_and_inv8():
         v = s.solve()
         assert v.sat == expect
         if v.sat:  # an unsatisfiable run ends in a (legitimate) conflict state
-            assert check_ids(s.state, s.formula, (8,), blockers=True) == []
+            assert violations(s.state, s.formula, 8) == []
 
 
 def test_stats_deterministic_and_monotone():
