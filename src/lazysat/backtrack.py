@@ -13,8 +13,8 @@ implications:
 * ``lscb``  stored MLIs whose residual level survives are reimplied at the
             end of the queue, lowest residual level first.
 
-Every mode puts an unassigned variable back into the solver's decision
-order (``state.order``) unless it still has a current entry there.
+Every mode puts an unassigned variable back into the decision heap
+(``state.heap``) unless it still has a current entry there.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ def backtrack(state, d, mode, stats):
     level = st.level
     val = st.val
     old_level = len(st.decisions)
-    order = st.order
-    heap = order.heap
-    queued = order.queued
-    activity = order.activity
+    heap = st.heap  # bound once: nothing rebuilds the heap during a backtrack
+    queued = st.queued
+    activity = st.activity
 
     start = trail.index(st.decisions[d])
     # rscb rewinds the head to the start; elsewhere kept literals keep their side of it

@@ -42,7 +42,7 @@ def build_parser():
 
     gen = sub.add_parser("gen", help="generate uniform random 3-SAT files")
     gen.add_argument("--vars", type=int, required=True)
-    gen.add_argument("--clauses", type=int, default=0, help="default: SATLIB count for --vars")
+    gen.add_argument("--clauses", type=int, help="default: SATLIB count for --vars")
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-dir", required=True)
@@ -142,7 +142,7 @@ def cmd_solve(args):
 def cmd_gen(args):
     if args.count < 0:
         raise ValueError("--count must be at least 0, got %d" % args.count)
-    m = args.clauses or satlib_clause_count(args.vars)
+    m = satlib_clause_count(args.vars) if args.clauses is None else args.clauses
     seeds = range(args.seed, args.seed + args.count)
     # generated before the directory exists, so a usage error leaves nothing behind
     texts = [write_dimacs(random_3sat(args.vars, m, seed)) for seed in seeds]

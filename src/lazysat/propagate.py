@@ -199,11 +199,7 @@ class Propagator:
                         continue
                 # The clause minus c2 is fully falsified and r has its maximal level.
                 if vc2 == FALSE:
-                    while i < n_w:
-                        watchers[j] = watchers[i]
-                        j += 1
-                        i += 1
-                    del watchers[j:]
+                    del watchers[j:i]  # keeps the unvisited watchers after the kept ones
                     st.head = head
                     stats.propagations += props
                     return clause

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from heapq import heapify, heappop
+from heapq import heappop
 
 from . import checker
 from .analyze import analyze as run_analysis
@@ -71,44 +71,6 @@ class Verdict:
     model: dict | None = None  # variable -> bool, total on SAT
 
 
-class DecisionOrder:
-    """Unassigned variables by decreasing activity, lowest index on ties.
-
-    A lazy binary heap of ``(-activity, var)`` entries, the VSIDS order
-    heap of Chaff and MiniSat.  Invariant: every unassigned variable has
-    ``queued`` set, and a queued variable has an entry keyed at its current
-    activity.  Other entries are stale: their variable is assigned, or
-    they carry an older, lower activity (activity only grows between
-    rebuilds) and so sort after the variable's current entry.
-
-    The trail state points here so that backtracking can requeue what it
-    unassigns; holding only the activity list, never the solver or the
-    state, keeps that free of reference cycles.
-    """
-
-    __slots__ = ("activity", "heap", "queued", "limit")
-
-    def __init__(self, activity):
-        n = len(activity) - 1
-        self.activity = activity
-        self.heap = [(-0.0, v) for v in range(1, n + 1)]  # all zero: already a heap
-        self.queued = [False] + [True] * n
-        self.limit = 2 * n  # rebuild past this many entries so stale ones cannot pile up
-
-    def rebuild(self, val):
-        """One current entry per variable unassigned under ``val``, and nothing else."""
-        activity = self.activity
-        queued = self.queued
-        heap = []
-        for v in range(1, len(activity)):
-            free = val[v << 1] == UNDEF
-            queued[v] = free
-            if free:
-                heap.append((-activity[v], v))
-        heapify(heap)
-        self.heap = heap
-
-
 def choose_backtrack_level(learned, cfg):
     """Destination level for a conflict at learned.level.
 
@@ -135,9 +97,6 @@ class Solver:
         self.prop = Propagator(
             formula, self.state, self.cfg.mode, self.stats, blockers=self.cfg.blockers
         )
-        self.activity = [0.0] * (formula.num_vars + 1)
-        self.order = DecisionOrder(self.activity)
-        self.state.order = self.order  # backtracking requeues what it unassigns
         self.var_inc = VSIDS_BUMP
         self.violations = Counter()  # invariant id -> observed count at checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
@@ -157,13 +116,13 @@ class Solver:
     def decide(self):
         """Unassigned literal of maximal activity, lowest index on ties,
         polarity from phase saving (initially negative)."""
-        order = self.order
-        val = self.state.val
-        if len(order.heap) > order.limit:
-            order.rebuild(val)
-        heap = order.heap
-        queued = order.queued
-        activity = self.activity
+        st = self.state
+        val = st.val
+        if len(st.heap) > 2 * st.num_vars:  # so stale entries cannot pile up
+            st.rebuild_heap()
+        heap = st.heap
+        queued = st.queued
+        activity = st.activity
         try:
             # Drop assigned variables off the top; the entry left on top is
             # current, so the decision stays queued until it is popped.
@@ -175,13 +134,12 @@ class Solver:
                 key, v = heap[0]
         except IndexError:
             raise AssertionError("decide called with every variable assigned") from None
-        return (v << 1) | self.state.saved_phase[v]
+        return (v << 1) | st.saved_phase[v]
 
     def _bump_clause(self, lits):
         inc = self.var_inc
-        activity = self.activity
-        order = self.order
-        queued = order.queued
+        activity = self.state.activity
+        queued = self.state.queued
         rescaled = False
         for x in lits:
             v = x >> 1
@@ -193,7 +151,7 @@ class Solver:
             for v in range(1, self.formula.num_vars + 1):
                 activity[v] *= 1.0 / VSIDS_RESCALE
             self.var_inc *= 1.0 / VSIDS_RESCALE
-            order.rebuild(self.state.val)
+            self.state.rebuild_heap()
         self.var_inc /= VSIDS_DECAY
 
     # -- learned clause installation ----------------------------------------

@@ -7,11 +7,14 @@ than every finite level, and is the level of unassigned variables and of
 the undefined clause.
 
 Per variable the state keeps a level, a reason, a stored missed lower
-implication with its cached level and a saved phase.  Trail positions are
-not stored: a literal is on the trail at most once, so readers derive them.
+implication with its cached level, a saved phase and a VSIDS activity,
+which orders the decision heap.  Trail positions are not stored: a literal
+is on the trail at most once, so readers derive them.
 """
 
 from __future__ import annotations
+
+from heapq import heapify
 
 from .formula import lit_to_int
 
@@ -32,12 +35,38 @@ class TrailState:
         self.lazy_cl = [None] * n  # per variable: stored MLI clause or None
         self.lazy_lvl = [INF] * n  # cached level of lazy_cl minus its satisfied literal
         self.saved_phase = [1] * n  # sign bit of last assignment; initial phase negative
+        self.activity = [0.0] * n  # per variable: VSIDS activity
+        self.heap = [(-0.0, v) for v in range(1, n)]  # all zero: already a heap
+        self.queued = [False] + [True] * num_vars  # per variable: has a current heap entry
         self.trail = []
         self.head = 0
         self.decisions = []
         self.checked = checked
         self.trace = trace
-        self.order = None  # the solver's DecisionOrder; backtrack requeues into it
+
+    def rebuild_heap(self):
+        """One current heap entry per unassigned variable, and nothing else.
+
+        The decision heap is a lazy binary heap of ``(-activity, var)``
+        entries, the VSIDS order heap of Chaff and MiniSat: unassigned
+        variables by decreasing activity, lowest index on ties.  Invariant:
+        every unassigned variable has ``queued`` set, and a queued variable
+        has an entry keyed at its current activity.  Other entries are
+        stale: their variable is assigned, or they carry an older, lower
+        activity (activity only grows between rebuilds) and so sort after
+        the variable's current entry.
+        """
+        activity = self.activity
+        queued = self.queued
+        val = self.val
+        heap = []
+        for v in range(1, len(activity)):
+            free = val[v << 1] == UNDEF
+            queued[v] = free
+            if free:
+                heap.append((-activity[v], v))
+        heapify(heap)
+        self.heap = heap
 
     # -- queries ---------------------------------------------------------
 

@@ -277,7 +277,7 @@ class LockstepRunner:
         return hash(
             (
                 state_hash(solver.state, solver.formula),
-                tuple(solver.activity),
+                tuple(solver.state.activity),
                 solver.var_inc,
             )
         )

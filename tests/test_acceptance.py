@@ -5,6 +5,8 @@ gate: every tolerance is pinned here, and the prints show the measured
 numbers behind each verdict.
 """
 
+import hashlib
+import json
 import statistics
 
 import lazysat.solver as solver_module
@@ -24,6 +26,21 @@ MODES = ("ncb", "wcb", "rscb", "lscb")
 # SHA-256 of the determinism test's bench CSV (4176 bytes); a change to the
 # search must update it openly.
 BENCH_CSV_SHA256 = "b34c515d3f97bbd7b268cea3e77bc1360d39ccf8645ca12103284b5f756748ef"
+# SHA-256 of the search digest sweep's JSON: verdicts, models, Stats,
+# violations and learned clauses.  Like the CSV digest, it changes only
+# openly, with a search change.
+SEARCH_SHA256 = "2175d06b95669b07d85bac1089e1968d05c70a8f18039612cf9e21a9d203e8b9"
+SEARCH_SIZES = ((30, 128), (50, 218))
+SEARCH_CONFIGS = (
+    {"cb_threshold": 1},
+    {
+        "cb_threshold": 1,
+        "analyze": 1,
+        "minimize": True,
+        "blockers": True,
+        "check_level": "coarse",
+    },
+)
 
 
 def _report(name, ok, detail=""):
@@ -326,7 +343,6 @@ def test_topological_order_after_reimplication():
 def test_determinism_byte_identical_csv():
     """The same benchmark invocation twice produces byte-identical CSV,
     and that CSV is pinned by its digest across versions."""
-    import hashlib
     from types import SimpleNamespace
 
     from lazysat.cli import bench_rows
@@ -355,3 +371,30 @@ def test_determinism_byte_identical_csv():
     )
     assert outputs[0] == outputs[1]
     assert digest == BENCH_CSV_SHA256
+
+
+def test_search_digest():
+    """Every mode under two configurations solves a fixed sweep exactly as
+    pinned: same verdict, model, Stats, violations and learned clauses."""
+    records = []
+    for n, m in SEARCH_SIZES:
+        for seed in range(60_000, 60_003):
+            formula = random_3sat(n, m, seed)
+            for options in SEARCH_CONFIGS:
+                for mode in MODES:
+                    s = Solver(formula.copy(), SolverConfig(mode=mode, **options))
+                    verdict = s.solve()
+                    model = verdict.model or {}
+                    records.append(
+                        {
+                            "sat": verdict.sat,
+                            "model": [model[v] for v in sorted(model)],
+                            "stats": s.stats.as_dict(),
+                            "violations": sorted(s.violations.items()),
+                            "learned": [c.lits for c in s.formula.clauses if c.learned],
+                        }
+                    )
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    detail = " (%d solves, sha256 %s)" % (len(records), digest)
+    _report("search digest", digest == SEARCH_SHA256, detail)
+    assert digest == SEARCH_SHA256

@@ -171,6 +171,16 @@ def test_gen_writes_readable_instances(tmp_path, capsys):
     assert len(f.clauses) == 43  # SATLIB-style ratio fallback for n=10
 
 
+def test_gen_honours_an_explicit_zero_clause_count(tmp_path, capsys):
+    out_dir = tmp_path / "gen"
+    args = ["gen", "--vars", "10", "--clauses", "0", "--count", "1", "--seed", "0"]
+    assert main(args + ["--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert os.listdir(out_dir) == ["rnd3-v10-c0-s0.cnf"]
+    text = (out_dir / "rnd3-v10-c0-s0.cnf").read_text()
+    assert "p cnf 10 0" in text.splitlines()
+
+
 def test_bench_row_counts_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -164,6 +164,53 @@ def test_watch_lists_consistent_with_watch_slots():
         assert not membership
 
 
+def rewatch_rig():
+    """Clause 0 = (1 2 3 4) watching 1 and 2, with neighbours in every list.
+
+    Watch lists start as 1: [c0, c1], 2: [c0, c2], 3: [c1, c3], 4: [c2, c3].
+    """
+    f, st, prop = make_rig(4, [[1, 2, 3, 4], [1, 3], [2, 4], [3, 4]])
+    return f.clauses[0], prop
+
+
+def watch_lists(prop):
+    """Positive-literal watch lists as clause indices; no negative literal is watched."""
+    assert not any(prop.wl[lit(-v)] for v in range(1, 5))
+    return {v: [c.index for c in prop.wl[lit(v)]] for v in range(1, 5)}
+
+
+def assert_watched_once(prop, clause):
+    for w in (clause.w0, clause.w1):
+        assert sum(c is clause for c in prop.wl[w]) == 1
+
+
+def test_rewatch_same_pair_is_a_no_op():
+    for pair in ((1, 2), (2, 1)):
+        c0, prop = rewatch_rig()
+        before = watch_lists(prop)
+        prop.rewatch(c0, lit(pair[0]), lit(pair[1]))
+        assert (c0.w0, c0.w1) == (lit(1), lit(2))
+        assert watch_lists(prop) == before
+        assert_watched_once(prop, c0)
+
+
+def test_rewatch_keeps_one_watch_in_place():
+    c0, prop = rewatch_rig()
+    prop.rewatch(c0, lit(3), lit(1))
+    assert (c0.w0, c0.w1) == (lit(3), lit(1))
+    # 1 keeps c0 at its position; 2 loses it; 3 gains it at the end
+    assert watch_lists(prop) == {1: [0, 1], 2: [2], 3: [1, 3, 0], 4: [2, 3]}
+    assert_watched_once(prop, c0)
+
+
+def test_rewatch_replaces_both_watches():
+    c0, prop = rewatch_rig()
+    prop.rewatch(c0, lit(4), lit(3))
+    assert (c0.w0, c0.w1) == (lit(4), lit(3))
+    assert watch_lists(prop) == {1: [1], 2: [2], 3: [1, 3, 0], 4: [2, 3, 0]}
+    assert_watched_once(prop, c0)
+
+
 def test_deterministic_stats_for_fixed_seed_and_config():
     for mode in ("ncb", "wcb", "rscb", "lscb"):
         f = random_3sat(20, 91, 9)

@@ -107,8 +107,8 @@ def _scan_decide(solver):
     best = -1
     best_act = -1.0
     for v in range(1, solver.formula.num_vars + 1):
-        if val[v << 1] == UNDEF and solver.activity[v] > best_act:
-            best_act = solver.activity[v]
+        if val[v << 1] == UNDEF and solver.state.activity[v] > best_act:
+            best_act = solver.state.activity[v]
             best = v
     return (best << 1) | solver.state.saved_phase[best]
 
@@ -138,7 +138,7 @@ def test_decide_matches_activity_scan(monkeypatch):
                 last_inc[0] = s.var_inc
                 got = Solver.decide(s)
                 assert got == _scan_decide(s), (mode, decay)
-                assert len(s.order.heap) <= 2 * n
+                assert len(s.state.heap) <= 2 * n
                 return got
 
             s.decide = checked_decide
@@ -193,7 +193,7 @@ def test_activity_replay_log_reproduces_ordering():
                 inc *= 1.0 / 1e100
             inc /= solver_mod.VSIDS_DECAY
         # identical ordering (and in fact identical values)
-        assert act == s.activity
+        assert act == s.state.activity
     assert total_conflicts >= 100
 
 
