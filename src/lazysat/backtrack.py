@@ -10,8 +10,8 @@ implications:
 * ``wcb``   kept literals keep their side of the head; nothing is repaired.
 * ``rscb``  the head rewinds to where the first removed level opened, so
             every kept literal from there on is repropagated.
-* ``lscb``  stored MLIs whose residual level survives are reimplied at the
-            end of the queue, lowest residual level first.
+* ``lscb``  a removed literal whose stored MLI's residual level survives
+            is reimplied at the end of the queue, lowest level first.
 
 Every mode puts an unassigned variable back into the decision heap
 (``state.heap``) unless it still has a current entry there.
@@ -61,7 +61,7 @@ def backtrack(state, d, mode, stats):
             continue
         if st.lazy_cl[v] is not None:
             if st.lazy_lvl[v] <= d:
-                reimply.append((st.lazy_lvl[v], st.lazy_cl[v]))
+                reimply.append((st.lazy_lvl[v], st.lazy_cl[v], lit))
             st.lazy_cl[v] = None
             st.lazy_lvl[v] = INF
         val[lit] = UNDEF
@@ -92,8 +92,6 @@ def backtrack(state, d, mode, stats):
         )
 
     reimply.sort(key=itemgetter(0))  # stable: trail order on equal levels
-    for lvl, clause in reimply:
-        unassigned = [x for x in clause.lits if val[x] == UNDEF]
-        assert len(unassigned) == 1, "a stored MLI must be unit after backtracking"
-        st.enqueue_implied(unassigned[0], clause, lvl, kind="reimply")
+    for lvl, clause, lit in reimply:
+        st.enqueue_implied(lit, clause, lvl, kind="reimply")
         stats.reimplications += 1

@@ -13,7 +13,8 @@ or over the trail, exactly as the invariant is stated:
 6  lazy reimplication           stored MLIs really are MLIs
 7  lazy backward compatible     5 weakened by a stored-MLI alternative
 8  blocker variant              7 weakened by a low-enough satisfied blocker,
-                                on a clause whose blocker is set
+                                on a clause whose blocker is set; holds in
+                                ncb and lscb, while blockers void 1, 4, 5, 7
 
 The clause scan reads the watched literals each clause holds.  It skips a
 clause whose watches are both unfalsified, and a watch orientation whose

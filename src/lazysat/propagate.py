@@ -5,9 +5,9 @@ pending queue in a single frame: the state's arrays are bound to locals
 once per call, the head and the propagation count are kept in locals and
 written back on exit, and each queued literal visits the clauses watching
 its negation in one inline loop.  An implied literal is assigned inline
-too.  When the state has checked asserts or a trace callback, implications
-go through ``enqueue_implied`` and pops through ``pop_next`` instead, which
-own those hooks; the search is the same either way.
+too.  With checked asserts or a trace callback, implications go through
+``enqueue_implied``, which owns those hooks; the search is the same either
+way.  Only ``bcp`` moves the head, and it emits each ``pop`` event itself.
 
 One code path serves all backtracking modes.  The mode only changes the
 skip condition when the other watched literal is already satisfied: the
@@ -27,6 +27,7 @@ ternary path leaves it alone.
 
 from __future__ import annotations
 
+from .formula import lit_to_int
 from .state import FALSE, TRUE
 
 
@@ -145,9 +146,10 @@ class Propagator:
         wl = self.wl
         lazy_mode = self.lazy_mode
         blockers = self.blockers
-        # checked asserts and trace events live in enqueue_implied and
-        # pop_next; without either both run inline
-        hooked = st.checked or st.trace is not None
+        trace = st.trace
+        # implications' checked asserts and trace events live in
+        # enqueue_implied; without either they run inline
+        hooked = st.checked or trace is not None
         head = st.head
         props = 0
         while head < len(trail):
@@ -220,9 +222,8 @@ class Propagator:
                 saved_phase[v] = c2 & 1
                 trail.append(c2)
             del watchers[j:]
-            if hooked:
-                st.head = head
-                st.pop_next()
+            if trace is not None:
+                trace({"kind": "pop", "lit": lit_to_int(trail[head])})
             head += 1
             props += 1
             if on_pop is not None:

@@ -129,15 +129,6 @@ class TrailState:
                 {"kind": kind, "lit": lit_to_int(lit), "level": lvl, "clause": reason.index}
             )
 
-    def pop_next(self):
-        """Advance the head: move the first queued literal into the propagated prefix."""
-        assert self.head < len(self.trail), "pop from an empty queue"
-        lit = self.trail[self.head]
-        self.head += 1
-        if self.trace is not None:
-            self.trace({"kind": "pop", "lit": lit_to_int(lit)})
-        return lit
-
     def set_lazy(self, lit, clause, lvl):
         """Record a new or improved missed lower implication for lit at level lvl."""
         if self.checked:

@@ -196,13 +196,13 @@ def s2_replay():
     c = rig.formula.clauses
     st = rig.state
     rig.decide(-1)
-    st.pop_next()
+    st.head += 1
     rig.imply(-2, c[0], 1)
-    st.pop_next()
+    st.head += 1
     rig.decide(-3)
-    st.pop_next()
+    st.head += 1
     rig.imply(4, c[6], 1)
-    st.pop_next()
+    st.head += 1
     st.set_lazy(lit_from_int(-3), c[5], 1)
     rig.imply(-5, c[1], 2)
     rig.imply(-6, c[2], 1)

@@ -4,8 +4,10 @@ import pytest
 
 import lazysat.solver as solver_module
 from lazysat.backtrack import backtrack
-from lazysat.solver import Solver, SolverConfig
-from lazysat.state import INF, UNDEF
+from lazysat.formula import Formula
+from lazysat.formula import lit_from_int as lit
+from lazysat.solver import Solver, SolverConfig, Stats
+from lazysat.state import INF, UNDEF, TrailState
 from lazysat.testkit import random_3sat, satlib_clause_count
 from support import s1_replay, violations
 
@@ -58,6 +60,20 @@ def test_backtrack_contract_requires_lower_level():
     rig = out["rig"]
     with pytest.raises(AssertionError):
         backtrack(rig.state, len(rig.state.decisions), rig.mode, rig.stats)
+
+
+def test_checked_backtrack_refuses_a_non_unit_stored_mli():
+    # a corrupted cache claims the MLI (3 or -2) survives a backtrack to
+    # level 1, which unassigns -2 too: checked reimplication refuses it
+    f = Formula(3)
+    mli = f.add_clause([3, -2])
+    st = TrailState(3, checked=True)
+    for n in (1, 2, 3):
+        st.enqueue_decision(lit(n))
+    st.set_lazy(lit(3), mli, 2)
+    st.lazy_lvl[3] = 1
+    with pytest.raises(AssertionError):
+        backtrack(st, 1, "lscb", Stats())
 
 
 def _run_with_backtrack_spy(mode, seed, spy, n=16):

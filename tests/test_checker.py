@@ -1,10 +1,11 @@
+from collections import Counter
 from operator import setitem
 
 import pytest
 
 from lazysat.checker import Violation, check_ids
 from lazysat.formula import Formula, lit_from_int, lit_to_int
-from lazysat.solver import Solver, SolverConfig
+from lazysat.solver import MODES, Solver, SolverConfig
 from lazysat.state import INF, TRUE, UNDEF, TrailState
 from lazysat.testkit import random_3sat
 from support import s1_replay, state_hash, trail_positions, violations
@@ -91,6 +92,23 @@ def test_random_ncb_soak_all_checkpoints_clean():
         s = Solver(f.copy(), SolverConfig(mode="ncb", check_level="fine"))
         s.solve()
         assert not s.violations, s.violations
+
+
+def test_blockers_soak_keeps_the_documented_invariants():
+    # bcp skips a clause whose blocker is satisfied at or below the falsified
+    # watch's level without moving its watches, so ids 1, 4, 5 and 7, which
+    # read only the watch pair, report correct runs; 8 holds in ncb and lscb,
+    # the modes where 7 holds without blockers
+    for mode in MODES:
+        seen = Counter()
+        for seed in range(20):
+            cfg = SolverConfig(mode=mode, cb_threshold=1, blockers=True, check_level="fine")
+            s = Solver(random_3sat(12, 51, seed), cfg)
+            s.solve()
+            seen += s.violations
+        held = (2, 3, 6, 8) if mode in ("ncb", "lscb") else (2, 3, 6)
+        assert [seen[i] for i in held] == [0] * len(held), (mode, seen)
+        assert seen[1] > 0, (mode, seen)
 
 
 def test_inv6_catches_stale_cache():

@@ -316,3 +316,23 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 10, done.stderr
     assert "s SATISFIABLE" in done.stdout
+
+
+def test_python_dash_o_gives_the_same_bench_output(tmp_path):
+    # no assert may carry control flow: stripping them changes no output
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lazysat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["-m", "lazysat", "bench", "--gen", "20", "91", "10", "0"]
+    argv += ["--analyze", "1", "--minimize", "--blockers"]
+    outputs = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable] + flags + argv,
+            cwd=str(tmp_path),
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -84,8 +84,7 @@ def test_propagate_literal_conflict_on_pending_queue():
     st = rig.state
     # make the two pending low-priority literals propagated by hand, then
     # drive the remaining queued literal directly
-    st.pop_next()
-    st.pop_next()
+    st.head += 2
     assert st.trail[st.head :] == [lit(7)]
     confl = rig.prop.bcp()
     assert confl is rig.formula.clauses[4]
@@ -318,8 +317,8 @@ def test_ternary_watch_visit_matches_search_idx():
 
 # The per-literal kernel that ``Propagator.bcp`` replaced, kept here as the
 # reference the one-frame kernel must agree with: one call per queued
-# literal, implications through ``enqueue_implied`` and pops through
-# ``pop_next``.
+# literal, implications through ``enqueue_implied``, and each pop traced
+# before the head moves.
 
 
 def reference_propagate_literal(prop, lit):
@@ -399,7 +398,9 @@ def reference_bcp(prop, on_pop=None):
         conflict = reference_propagate_literal(prop, st.trail[st.head])
         if conflict is not None:
             return conflict
-        st.pop_next()
+        if st.trace is not None:
+            st.trace({"kind": "pop", "lit": lit_to_int(st.trail[st.head])})
+        st.head += 1
         if stats is not None:
             stats.propagations += 1
         if on_pop is not None:

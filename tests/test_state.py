@@ -99,31 +99,6 @@ def test_set_lazy_checked_asserts(target, clause, lvl, stored, message):
         st.set_lazy(lit(target), mli, lvl)
 
 
-def test_pop_next_moves_head():
-    st = TrailState(3)
-    st.enqueue_decision(lit(1))
-    st.enqueue_decision(lit(2))
-    assert st.trail[st.head] == lit(1)
-    assert st.pop_next() == lit(1)
-    assert st.head == 1
-    assert st.trail.index(lit(1)) < st.head
-    assert not st.trail.index(lit(2)) < st.head
-    assert st.pop_next() == lit(2)
-    assert st.head == len(st.trail)
-    with pytest.raises(AssertionError):
-        st.pop_next()
-
-
-def test_trail_order_preserved_by_pops():
-    st = TrailState(5)
-    for n in (1, 2, 3, 4, 5):
-        st.enqueue_decision(lit(n))
-    before = list(st.trail)
-    while st.head < len(st.trail):
-        st.pop_next()
-    assert st.trail == before
-
-
 def test_set_lazy_fresh_literal_defaults():
     st = TrailState(3)
     st.enqueue_decision(lit(1))
@@ -192,9 +167,8 @@ def test_trace_hook_emits_events():
     f = Formula(3)
     c = f.add_clause([2, -1])
     st.enqueue_decision(lit(1))
-    st.pop_next()
     st.enqueue_implied(lit(2), c, 1)
     kinds = [e["kind"] for e in events]
-    assert kinds == ["decide", "pop", "imply"]
+    assert kinds == ["decide", "imply"]
     assert events[0] == {"kind": "decide", "lit": 1, "level": 1}
-    assert events[2]["clause"] == c.index
+    assert events[1]["clause"] == c.index
