@@ -15,10 +15,10 @@ from heapq import heappop
 from . import checker
 from .analyze import analyze as run_analysis
 from .analyze import minimize as minimize_clause
-from .backtrack import backtrack as run_backtrack
 from .formula import Clause, Formula, lit_to_int
 from .propagate import Propagator
 from .state import FALSE, TRUE, UNDEF, TrailState
+from .state import backtrack as run_backtrack
 
 MODES = ("ncb", "wcb", "rscb", "lscb")
 CHECK_LEVELS = ("off", "coarse", "fine")
@@ -133,7 +133,7 @@ class Solver:
                     queued[v] = False
                 key, v = heap[0]
         except IndexError:
-            raise AssertionError("decide called with every variable assigned") from None
+            raise AssertionError("unassigned variable has no heap entry (rebuild_heap)") from None
         return (v << 1) | st.saved_phase[v]
 
     def _bump_clause(self, lits):

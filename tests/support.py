@@ -7,11 +7,10 @@ pinned event script and expose snapshots for bit-exact assertions.
 from __future__ import annotations
 
 from lazysat.analyze import analyze as run_analysis
-from lazysat.backtrack import backtrack
 from lazysat.checker import check_ids
 from lazysat.formula import Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
-from lazysat.state import TRUE
+from lazysat.state import TRUE, backtrack
 from lazysat.testkit import brute_force
 
 

@@ -4,11 +4,10 @@ from collections import Counter
 import pytest
 
 from lazysat.analyze import LearnedClause, analyze, minimize
-from lazysat.backtrack import backtrack
 from lazysat.formula import Clause, Formula, lit_from_int, lit_to_int
 from lazysat.formula import lit_from_int as lit
 from lazysat.solver import MODES, Solver, SolverConfig
-from lazysat.state import FALSE, TrailState
+from lazysat.state import FALSE, TrailState, backtrack
 from lazysat.testkit import random_3sat
 from support import entails, s2_replay, trail_positions
 

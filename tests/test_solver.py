@@ -1,18 +1,18 @@
 import gc
 import itertools
+import random
 
 import pytest
 
 import lazysat.solver as solver_mod
 from lazysat.analyze import LearnedClause
-from lazysat.backtrack import backtrack
 from lazysat.formula import Formula, lit_to_int
 from lazysat.formula import lit_from_int as lit
 from lazysat.solver import Solver, SolverConfig, choose_backtrack_level
 from lazysat.solver import SolverConfig as cfg
-from lazysat.state import UNDEF
+from lazysat.state import UNDEF, backtrack
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
-from support import s1_formula, violations
+from support import replay_trace, s1_formula, violations
 
 
 def test_empty_formula_is_sat():
@@ -98,6 +98,18 @@ def test_decide_phase_saving_follows_last_assignment():
     s.state.enqueue_decision(lit(1))
     backtrack(s.state, 0, "lscb", s.stats)
     assert lit_to_int(s.decide()) == 1  # saved positive phase
+
+
+def test_decide_names_a_broken_heap():
+    # step() decides only while a variable is unassigned, so an empty heap
+    # there means the heap invariant broke, not that the caller erred.
+    s = Solver(random_3sat(20, 91, 0), cfg(cb_threshold=1))
+    s.setup()
+    s.prop.bcp()
+    assert len(s.state.trail) < s.formula.num_vars
+    s.state.heap.clear()
+    with pytest.raises(AssertionError, match=r"no heap entry \(rebuild_heap\)"):
+        s.decide()
 
 
 def _scan_decide(solver):
@@ -253,15 +265,18 @@ def test_verdicts_match_oracle_all_modes_and_strategies():
     assert mismatches == 0
 
 
+# Invariant ids each mode guarantees at every checkpoint.
+ZERO_IDS = {
+    "ncb": (1, 2, 3, 4, 5, 7),
+    "wcb": (1, 2, 3),
+    "rscb": (1, 2, 3, 4, 6),
+    "lscb": (1, 2, 3, 4, 6, 7),
+}
+
+
 def test_mode_invariant_matrix_small_soak():
-    expectations = {
-        "ncb": (1, 2, 3, 4, 5, 7),
-        "wcb": (1, 2, 3),
-        "rscb": (1, 2, 3, 4, 6),
-        "lscb": (1, 2, 3, 4, 6, 7),
-    }
     wcb_saw_inv4 = 0
-    for mode, zero_ids in expectations.items():
+    for mode, zero_ids in ZERO_IDS.items():
         for seed in range(10):
             f = random_3sat(12, 51, seed)
             s = Solver(f.copy(), cfg(mode=mode, cb_threshold=1, check_level="fine"))
@@ -271,6 +286,56 @@ def test_mode_invariant_matrix_small_soak():
             if mode == "wcb":
                 wcb_saw_inv4 += s.violations.get(4, 0)
     assert wcb_saw_inv4 > 0
+
+
+def _mixed_formula(seed):
+    """Random formula with clauses of length 1 to 6, mostly 3, added as drawn."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 40)
+    f = Formula(n)
+    for _ in range(round(n * rng.uniform(4.0, 6.0))):
+        r = rng.random()
+        k = 1 if r < 0.01 else 2 if r < 0.12 else 3 if r < 0.62 else rng.randint(4, 6)
+        f.add_clause([rng.choice((1, -1)) * rng.randint(1, n) for _ in range(k)])
+    return f
+
+
+def _satisfies(model, f):
+    return all(any(model[abs(x)] == (x > 0) for x in c.to_ints()) for c in f.clauses)
+
+
+def test_mixed_clause_lengths_against_oracle():
+    # Units, binaries and long clauses, with collapsed duplicates and dropped
+    # tautologies, reach every mode; random_3sat alone never feeds them.
+    for seed in range(40):
+        f = _mixed_formula(seed)
+        expect = brute_force(f)
+        for mode, analyze, minimize, t in itertools.product(
+            ZERO_IDS, (1, 2), (False, True), (1, 100)
+        ):
+            c = cfg(mode, analyze, t, minimize=minimize, check_level="coarse")
+            s = Solver(f.copy(), c)
+            v = s.solve()
+            assert v.sat == expect, (seed, mode, analyze, minimize, t)
+            assert not v.sat or _satisfies(v.model, f)
+            for inv in ZERO_IDS[mode]:
+                assert s.violations.get(inv, 0) == 0, (seed, mode, analyze, minimize, t, inv)
+
+
+def test_mixed_clause_lengths_fine_checked_trace_replays():
+    for seed in range(40):
+        f = _mixed_formula(seed)
+        expect = brute_force(f)
+        for mode, analyze in itertools.product(ZERO_IDS, (1, 2)):
+            events = []
+            c = cfg(mode, analyze, cb_threshold=1, check_level="fine")
+            s = Solver(f.copy(), c, trace=events.append)
+            assert s.solve().sat == expect, (seed, mode, analyze)
+            for inv in ZERO_IDS[mode]:
+                assert s.violations.get(inv, 0) == 0, (seed, mode, analyze, inv)
+            trail, head = replay_trace(events)
+            assert trail == [(lit_to_int(x), s.state.level[x >> 1]) for x in s.state.trail]
+            assert head == s.state.head
 
 
 def test_blockers_variant_keeps_verdicts_and_inv8():

@@ -1,7 +1,9 @@
 import ast
 import inspect
 import itertools
+import os
 import pkgutil
+import re
 
 import pytest
 
@@ -208,3 +210,17 @@ def test_package_attributes_name_its_submodules():
     for info in pkgutil.iter_modules(lazysat.__path__):
         __import__("lazysat." + info.name)
         assert inspect.ismodule(getattr(lazysat, info.name)), info.name
+
+
+def test_readme_layout_lists_the_package_modules():
+    # The Layout block names each module under src/lazysat/; a module added,
+    # renamed or removed must be reflected there.
+    package = os.path.dirname(lazysat.__file__)
+    readme = os.path.join(os.path.dirname(os.path.dirname(package)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Layout", 1)[1].split("```")[1]
+    listed = block.split("src/lazysat/", 1)[1].split("\ntests/", 1)[0]
+    modules = {name for name in os.listdir(package) if name.endswith(".py")}
+    modules -= {"__init__.py", "__main__.py"}
+    assert set(re.findall(r"^\s+(\w+\.py)\s", listed, re.M)) == modules
