@@ -98,9 +98,11 @@ def read_dimacs(path, name):
     """Read and parse one DIMACS file; a ValueError names it as ``name``.
 
     Both malformed DIMACS and text that does not decode are ValueErrors.
+    The file is read without newline translation, so its lines end where
+    ``parse_dimacs`` ends them: at a newline only.
     """
     try:
-        with open(path) as fh:
+        with open(path, newline="") as fh:
             return parse_dimacs(fh.read())
     except ValueError as exc:
         raise ValueError("%s: %s" % (name, exc)) from None

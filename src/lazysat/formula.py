@@ -75,23 +75,26 @@ class Formula:
     def add_clause(self, ints):
         """Store a clause given as signed integers and return its reference.
 
-        Duplicate literals collapse; a clause containing a complementary
-        pair is a tautology and is never stored (returns None).  An empty
-        clause marks the formula trivially unsatisfiable and also returns
-        None.
+        Every literal must name a variable in 1..num_vars, or ValueError is
+        raised, even in a clause that is dropped.  Duplicate literals
+        collapse; a clause containing a complementary pair is a tautology
+        and is never stored (returns None).  An empty clause marks the
+        formula trivially unsatisfiable and also returns None.
         """
         seen = set()
         lits = []
+        tautology = False
         for n in ints:
             v = -n if n < 0 else n
             if v == 0 or v > self.num_vars:
                 raise ValueError("variable %d out of range 1..%d" % (v, self.num_vars))
             lit = (v << 1) | (n < 0)
-            if lit ^ 1 in seen:
-                return None
             if lit not in seen:
+                tautology = tautology or lit ^ 1 in seen
                 seen.add(lit)
                 lits.append(lit)
+        if tautology:
+            return None
         if not lits:
             self.trivially_unsat = True
             return None
@@ -119,16 +122,36 @@ class Formula:
         return out
 
 
-def parse_dimacs(text: str) -> Formula:
-    """Parse DIMACS CNF text into a normalized Formula.
+def _decimal(tok):
+    """``int`` restricted to ASCII decimal digits with an optional sign."""
+    if tok.isascii() and "_" not in tok:
+        return int(tok)
+    raise ValueError(tok)
 
-    Comment lines start with 'c'; a line starting with '%' ends the input
-    (SATLIB trailer convention).  Each clause block is terminated by 0.
+
+def parse_dimacs(text: str) -> Formula:
+    """Parse DIMACS CNF text into a normalized Formula, one pass per clause.
+
+    Lines end at a newline only; other whitespace, carriage returns
+    included, separates tokens.  Comment lines start with 'c'; a line
+    starting with '%' ends the input (SATLIB trailer convention).  Header
+    counts and literals are ASCII decimal integers with an optional sign,
+    and each clause, which may span lines, ends at 0.  Every literal is
+    range-checked and encoded as it is read; repeats collapse, a clause
+    with a complementary pair is dropped, and an empty clause marks the
+    formula trivially unsatisfiable, as ``Formula.add_clause`` does.  The
+    header's clause count is not enforced.
     """
+    # int() also reads '1_2' and non-ASCII digits such as '\uff13'.  Text that
+    # passes this screen holds neither; in other text each token is checked.
+    to_int = int if text.isascii() and "_" not in text else _decimal
     formula = None
-    pending = []
+    top = 0  # largest encoded literal in range, set by the header
+    lits = []
+    seen = set()
+    tautology = False
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line[0] == "c":
             continue
@@ -142,34 +165,45 @@ def parse_dimacs(text: str) -> Formula:
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError("malformed header %r" % line, lineno)
             try:
-                nv = int(parts[2])
-                nc = int(parts[3])
+                nv = to_int(parts[2])
+                nc = to_int(parts[3])
             except ValueError:
                 raise DimacsError("malformed header %r" % line, lineno) from None
             if nv < 0 or nc < 0:
                 raise DimacsError("malformed header %r" % line, lineno)
             formula = Formula(nv)
+            clauses = formula.clauses
+            top = 2 * nv + 1
             continue
         if formula is None:
             raise DimacsError("clause data before 'p cnf' header", lineno)
         for tok in line.split():
             try:
-                n = int(tok)
+                n = to_int(tok)
             except ValueError:
                 raise DimacsError("non-integer token %r" % tok, lineno) from None
-            if n == 0:
-                formula.add_clause(pending)
-                pending = []
+            if n:
+                lit = n + n if n > 0 else 1 - n - n
+                if lit > top:
+                    raise DimacsError("literal %d exceeds declared %d variables" % (n, nv), lineno)
+                if lit in seen:
+                    continue
+                if lit ^ 1 in seen:
+                    tautology = True
+                seen.add(lit)
+                lits.append(lit)
             else:
-                if abs(n) > formula.num_vars:
-                    raise DimacsError(
-                        "literal %d exceeds declared %d variables" % (n, formula.num_vars),
-                        lineno,
-                    )
-                pending.append(n)
+                if tautology:
+                    tautology = False
+                elif lits:
+                    clauses.append(Clause(lits, False, len(clauses)))
+                else:
+                    formula.trivially_unsat = True
+                lits = []
+                seen = set()
     if formula is None:
         raise DimacsError("missing 'p cnf' header", max(last_line, 1))
-    if pending:
+    if lits:
         raise DimacsError("missing terminating 0", last_line)
     return formula
 

@@ -2,13 +2,15 @@
 
 The two replay fixtures (S1, S2) drive the solver building blocks through a
 pinned event script and expose snapshots for bit-exact assertions.
+``reference_parse_dimacs`` is the line-then-clause DIMACS reader that the
+one-pass ``parse_dimacs`` is checked against.
 """
 
 from __future__ import annotations
 
 from lazysat.analyze import analyze as run_analysis
 from lazysat.checker import check_ids
-from lazysat.formula import Formula, lit_from_int, lit_to_int
+from lazysat.formula import DimacsError, Formula, lit_from_int, lit_to_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import TRUE, backtrack
 from lazysat.testkit import brute_force
@@ -43,6 +45,63 @@ def entails(formula, clause_ints):
     for x in clause_ints:
         probe.add_clause([-x])
     return not brute_force(probe)
+
+
+def reference_parse_dimacs(text):
+    """DIMACS reader that collects each clause's signed literals and hands
+    them to ``Formula.add_clause`` at its 0.
+
+    It reads tokens with plain ``int`` and splits lines with ``splitlines``,
+    so it agrees with ``parse_dimacs`` on ASCII text without underscores
+    whose lines end in '\n' or '\r\n'.
+    """
+    formula = None
+    pending = []
+    last_line = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "c":
+            continue
+        if line[0] == "%":
+            break
+        last_line = lineno
+        if line[0] == "p":
+            if formula is not None:
+                raise DimacsError("duplicate 'p cnf' header", lineno)
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise DimacsError("malformed header %r" % line, lineno)
+            try:
+                nv = int(parts[2])
+                nc = int(parts[3])
+            except ValueError:
+                raise DimacsError("malformed header %r" % line, lineno) from None
+            if nv < 0 or nc < 0:
+                raise DimacsError("malformed header %r" % line, lineno)
+            formula = Formula(nv)
+            continue
+        if formula is None:
+            raise DimacsError("clause data before 'p cnf' header", lineno)
+        for tok in line.split():
+            try:
+                n = int(tok)
+            except ValueError:
+                raise DimacsError("non-integer token %r" % tok, lineno) from None
+            if n == 0:
+                formula.add_clause(pending)
+                pending = []
+            else:
+                if abs(n) > formula.num_vars:
+                    raise DimacsError(
+                        "literal %d exceeds declared %d variables" % (n, formula.num_vars),
+                        lineno,
+                    )
+                pending.append(n)
+    if formula is None:
+        raise DimacsError("missing 'p cnf' header", max(last_line, 1))
+    if pending:
+        raise DimacsError("missing terminating 0", last_line)
+    return formula
 
 
 # -- scripted replay rig -------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 import lazysat
 from lazysat.cli import main
-from lazysat.formula import parse_dimacs, write_dimacs
+from lazysat.formula import DimacsError, parse_dimacs, write_dimacs
 from lazysat.solver import Solver, SolverConfig
 from lazysat.testkit import random_3sat
 from support import s1_formula
@@ -58,6 +58,24 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     p.write_text("p cnf 2 1\n1 junk 0\n")
     assert main(["solve", str(p)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data", [b"p cnf 2 1\r1 2 0\r", b"p cnf 2 1\r\n1\r-2 0\r\n", b"c x\rp cnf 1 1\n1 0\n"]
+)
+def test_solve_ends_lines_where_parse_dimacs_does(tmp_path, capsys, data):
+    # A lone carriage return is whitespace in the file as in the library.
+    p = tmp_path / "cr.cnf"
+    p.write_bytes(data)
+    code = main(["solve", str(p)])
+    captured = capsys.readouterr()
+    try:
+        parse_dimacs(data.decode())
+    except DimacsError as exc:
+        assert code == 1
+        assert captured.err == "error: %s: %s\n" % (p, exc)
+    else:
+        assert code == 10, captured.err
 
 
 def test_undecodable_file_is_input_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from lazysat.formula import (
     parse_dimacs,
     write_dimacs,
 )
+from support import reference_parse_dimacs
 
 
 def units(formula):
@@ -162,3 +163,209 @@ def test_dimacs_roundtrip_on_normalized_form():
         assert [c.to_ints() for c in units(f1)] == [c.to_ints() for c in units(f2)]
         assert f1.trivially_unsat == f2.trivially_unsat
         assert out == write_dimacs(f2)
+
+
+def test_add_clause_checks_range_before_dropping_a_tautology():
+    for ints in ([1, -1, 99], [1, -1, 0], [-2, 2, -3]):
+        f = Formula(2)
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            f.add_clause(ints)
+        assert f.clauses == []
+        assert not f.trivially_unsat
+
+
+# -- line and token form ---------------------------------------------------------
+
+# Characters that str.splitlines() breaks at but DIMACS lines do not: inside a
+# line each is whitespace, which str.split() and str.strip() skip.
+NOT_LINE_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS)
+def test_parse_lines_end_at_newline_only(ch):
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs("c caf\u00e9%s note\np cnf 2 1\n1 3 0\n" % ch)
+    assert str(exc.value) == "line 3: literal 3 exceeds declared 2 variables"
+    # On a line of its own the character is blank space and shifts no number.
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs("p cnf 2 1\n%s\n1 3 0\n" % ch)
+    assert exc.value.line == 3
+    f = parse_dimacs("p cnf 2 1\n1%s-2 0%s\n" % (ch, ch))
+    assert [c.to_ints() for c in f.clauses] == [[1, -2]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 20 1\n1_2 0\n", "line 2: non-integer token '1_2'"),
+        ("p cnf 3 1\n1 \uff13 0\n", "line 2: non-integer token '\uff13'"),
+        ("p cnf 3 1\n\u0663 0\n", "line 2: non-integer token '\u0663'"),
+        ("p cnf 3 1\n1 2 -3 0 -_1 0\n", "line 2: non-integer token '-_1'"),
+        ("p cnf 1_0 1\n1 0\n", "line 1: malformed header 'p cnf 1_0 1'"),
+        ("p cnf 3 1_0\n1 0\n", "line 1: malformed header 'p cnf 3 1_0'"),
+        ("c x\np cnf \uff13 1\n1 0\n", "line 2: malformed header 'p cnf \uff13 1'"),
+    ],
+)
+def test_parse_accepts_only_ascii_decimal_tokens(text, message):
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == message
+
+
+def test_parse_checks_each_token_of_unscreened_text():
+    # The screen fails on these texts, so each token is checked on its own.
+    f = parse_dimacs("c caf\u00e9 snake_case\np cnf 3 2\n+1 -2 -0\n 3 00\n")
+    assert [c.to_ints() for c in f.clauses] == [[1, -2], [3]]
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs("c \u00e9\np cnf 3 1\n1 4 \uff13 0\n")
+    assert str(exc.value) == "line 3: literal 4 exceeds declared 3 variables"
+
+
+def test_parse_long_clause_with_repeats():
+    nv = 50_000
+    rng = random.Random(19)
+    ints = [v if rng.random() < 0.5 else -v for v in range(1, nv + 1)] * 2
+    rng.shuffle(ints)
+    lines = [" ".join(map(str, ints[i : i + 997])) for i in range(0, len(ints), 997)]
+    want = list(dict.fromkeys(lit_from_int(n) for n in ints))
+    f = parse_dimacs("p cnf %d 1\n%s 0\n" % (nv, "\n".join(lines)))
+    assert [(c.lits, c.index) for c in f.clauses] == [(want, 0)]
+    assert Formula(nv).add_clause(ints).lits == want
+    f = parse_dimacs("p cnf %d 1\n%s %d 0\n" % (nv, "\n".join(lines), -ints[-1]))
+    assert f.clauses == []
+    assert not f.trivially_unsat
+
+
+# -- differential check against the reference reader ---------------------------
+
+BAD_TOKENS = ["q", "1.5", "--1", "+-2", "0x1", "-", "1e2", "2a"]
+
+
+def fuzz_dimacs(rng):
+    """A DIMACS-like text, its declared variable count, the signed clauses it
+    states before any '%', and whether a clause spans lines.
+
+    Texts mix comments, blank lines, multi-line clauses, several clauses per
+    line, repeated and complementary literals, empty clauses, '+' signs,
+    '%' trailers, CRLF line ends, bad tokens, out-of-range literals and
+    header faults; about half of them parse.
+    """
+    nv = rng.randint(0, 9)
+    clauses = []
+    for _ in range(rng.randint(0, 7)):
+        clause = []
+        for _ in range(rng.choice((0, 1, 2, 3, 3, 3, 4, 6))):
+            r = rng.random()
+            if clause and r < 0.1:
+                clause.append(rng.choice(clause))
+            elif clause and r < 0.15:
+                clause.append(-rng.choice(clause))
+            elif nv:
+                clause.append(rng.choice((-1, 1)) * rng.randint(1, nv))
+        clauses.append(clause)
+    tokens = []  # (token, clauses complete once it is read)
+    for k, clause in enumerate(clauses, start=1):
+        for n in clause:
+            r = rng.random()
+            if r < 0.015:
+                tokens.append((rng.choice(BAD_TOKENS), k - 1))
+            elif r < 0.03:
+                tokens.append((str(rng.choice((-1, 1)) * (nv + rng.randint(1, 3))), k - 1))
+            tokens.append(("+%d" % n if n > 0 and r > 0.95 else str(n), k - 1))
+        tokens.append((rng.choice(("0", "0", "0", "0", "-0", "00")), k))
+    if tokens and rng.random() < 0.04:
+        tokens.pop()  # the last clause lacks its terminating 0
+        clauses.pop()
+    lines = []  # (text, clauses complete at its end)
+    spans = False
+    while tokens:
+        take = rng.randint(1, 6)
+        chunk, tokens = tokens[:take], tokens[take:]
+        done = chunk[-1][1]
+        spans = spans or bool(tokens) and chunk[-1][0] not in ("0", "-0", "00")
+        sep = rng.choice((" ", " ", "  ", "\t"))
+        pad = rng.choice(("", "", "", " ", "\t"))
+        lines.append((pad + sep.join(t for t, _ in chunk) + pad, done))
+        if rng.random() < 0.1:
+            lines.append((rng.choice(("c", "c 1 2 0", "", "  ", "c p cnf 1 1")), done))
+    header = "p cnf %d %d" % (nv, rng.randint(0, 9))
+    r = rng.random()
+    if r < 0.06:
+        header = rng.choice(
+            (
+                "p cnf %d" % nv,
+                "p dnf %d 1" % nv,
+                "p cnf -1 2",
+                "p cnf 2 -1",
+                "p cnf x 1",
+                "p cnf %d 1 9" % nv,
+                "pcnf %d 1" % nv,
+                "p  cnf\t%d  1" % nv,
+                "p cnf +%d 01" % nv,
+            )
+        )
+    at = rng.randint(0, len(lines)) if r > 0.97 else 0  # clause data before the header
+    lines.insert(at, (header, lines[at - 1][1] if at else 0))
+    if 0.06 <= r < 0.1:
+        del lines[at]  # no header at all
+    elif r > 0.95:
+        lines.insert(rng.randint(at + 1, len(lines)), ("p cnf %d 1" % nv, 0))
+    if rng.random() < 0.3:
+        lines.insert(0, ("c " + rng.choice(("comment", "1 0", "x", "")), 0))
+    stated = len(clauses)
+    if lines and rng.random() < 0.15:
+        cut = rng.randint(0, len(lines))
+        stated = lines[cut - 1][1] if cut else 0
+        lines.insert(cut, (rng.choice(("%", "%%", "% end")), stated))
+        lines.insert(cut + 1, ("0", stated))
+        lines.insert(cut + 2, ("junk", stated))
+    eol = "\r\n" if rng.random() < 0.2 else "\n"
+    text = eol.join(t for t, _ in lines) + (eol if rng.random() < 0.8 else "")
+    return text, nv, clauses[:stated], spans
+
+
+def snapshot(f):
+    clauses = [(c.lits, c.w0, c.w1, c.index, c.learned) for c in f.clauses]
+    return (f.num_vars, clauses, f.trivially_unsat)
+
+
+def parse_outcome(parse, text):
+    try:
+        return snapshot(parse(text))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None))
+
+
+def test_parse_matches_reference_reader_on_fuzz_corpus():
+    rng = random.Random(47)
+    messages = set()
+    parsed = tautologies = repeats = unsat = multiline = 0
+    for _ in range(4000):
+        text, nv, stated, spans = fuzz_dimacs(rng)
+        got = parse_outcome(parse_dimacs, text)
+        assert got == parse_outcome(reference_parse_dimacs, text), text
+        if got[0] == "DimacsError":
+            # the message's first two words, without a literal's number
+            messages.add(" ".join(w for w in got[1].split()[2:4] if not w.lstrip("-").isdigit()))
+            continue
+        parsed += 1
+        # add_clause, clause by clause, agrees with the one-pass reader.
+        f = Formula(nv)
+        for clause in stated:
+            f.add_clause(clause)
+        assert snapshot(f) == got, text
+        tautologies += any(-n in c for c in stated for n in c)
+        repeats += any(len(set(c)) < len(c) for c in stated)
+        unsat += got[2]
+        multiline += spans
+    assert 1500 < parsed < 3500
+    assert min(tautologies, repeats, unsat, multiline) >= 50
+    assert messages == {
+        "duplicate 'p",
+        "malformed header",
+        "missing 'p",
+        "missing terminating",
+        "clause data",
+        "non-integer token",
+        "literal",
+    }

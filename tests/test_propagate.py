@@ -163,6 +163,57 @@ def test_watch_lists_consistent_with_watch_slots():
         assert not membership
 
 
+def mixed_formula(seed):
+    """Clauses of 1 to 6 literals with learned ones stored among them, so that
+    a learned clause may come before an original one."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 14)
+    f = Formula(n)
+    if rng.random() < 0.05:
+        f.add_clause([])
+    for _ in range(rng.randint(n, 4 * n)):
+        vs = rng.sample(range(1, n + 1), rng.choice((1, 2, 3, 3, 4, 6)))
+        ints = [v if rng.random() < 0.5 else -v for v in vs]
+        if len(ints) > 1 and rng.random() < 0.1:
+            f.store([lit(x) for x in ints], learned=True)
+        else:
+            f.add_clause(ints)
+    return f
+
+
+def clause_fields(formula):
+    return [
+        (c.lits, c.w0, c.w1, c.blocker, c.learned, c.index, c.search_pos) for c in formula.clauses
+    ]
+
+
+def assert_init_watches_matches_watch_clause(make_formula, blockers):
+    """``init_watches`` on one formula equals ``watch_clause`` on each
+    non-unit clause of an identical one, in clause order."""
+    f, twin = make_formula(), make_formula()
+    n = f.num_vars
+    fast = Propagator(f, TrailState(n), "lscb", Stats(), blockers)
+    ref = Propagator(twin, TrailState(n), "lscb", Stats(), blockers)
+    units = fast.init_watches()
+    want_units = []
+    for c in twin.clauses:
+        if len(c.lits) >= 2:
+            ref.watch_clause(c)
+        else:
+            want_units.append(c)
+    assert [c.index for c in units] == [c.index for c in want_units]
+    assert [[c.index for c in bucket] for bucket in fast.wl] == [
+        [c.index for c in bucket] for bucket in ref.wl
+    ]
+    assert clause_fields(f) == clause_fields(twin)
+
+
+def test_init_watches_matches_watch_clause():
+    for seed in range(40):
+        for blockers in (False, True):
+            assert_init_watches_matches_watch_clause(lambda: mixed_formula(seed), blockers)
+
+
 def rewatch_rig():
     """Clause 0 = (1 2 3 4) watching 1 and 2, with neighbours in every list.
 
