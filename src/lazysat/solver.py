@@ -115,7 +115,15 @@ class Solver:
 
     def decide(self):
         """Unassigned literal of maximal activity, lowest index on ties,
-        polarity from phase saving (initially negative)."""
+        polarity from phase saving (initially negative).
+
+        The heap serves first.  Its top entry, once current and unassigned,
+        is the answer: a zero-activity entry sorts after every positive one,
+        and its variable lies below ``cursor``, so below every variable the
+        index tier can reach.  With the heap drained, no unassigned variable
+        has positive activity, and the answer is the first unassigned one at
+        or after ``cursor``, which then moves up to it.
+        """
         st = self.state
         val = st.val
         if len(st.heap) > 2 * st.num_vars:  # so stale entries cannot pile up
@@ -123,17 +131,24 @@ class Solver:
         heap = st.heap
         queued = st.queued
         activity = st.activity
-        try:
+        while heap:
             # Drop assigned variables off the top; the entry left on top is
             # current, so the decision stays queued until it is popped.
             key, v = heap[0]
-            while val[v << 1] != UNDEF:
-                heappop(heap)
-                if key == -activity[v]:
-                    queued[v] = False
-                key, v = heap[0]
-        except IndexError:
-            raise AssertionError("unassigned variable has no heap entry (rebuild_heap)") from None
+            if val[v << 1] == UNDEF:
+                return (v << 1) | st.saved_phase[v]
+            heappop(heap)
+            if key == -activity[v]:
+                queued[v] = False
+        v = st.cursor
+        n = st.num_vars
+        while v <= n and (val[v << 1] != UNDEF or activity[v]):
+            v += 1
+        if v > n:
+            raise AssertionError(
+                "no unassigned variable in the heap or at or after the cursor (rebuild_heap)"
+            )
+        st.cursor = v
         return (v << 1) | st.saved_phase[v]
 
     def _bump_clause(self, lits):

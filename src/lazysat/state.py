@@ -8,9 +8,11 @@ than every finite level.  It is the level of unassigned variables and the
 MLI test compare against ``lazy_lvl`` with no separate check for one.
 
 Per variable the state keeps a level, a reason, a stored missed lower
-implication with its cached level, a saved phase and a VSIDS activity,
-which orders the decision heap.  Trail positions are not stored: a literal
-is on the trail at most once, so readers derive them.  ``TrailState``'s
+implication with its cached level, a saved phase and a VSIDS activity.
+Decisions come from two tiers: a heap holds the variables with positive
+activity, and a monotone index cursor reaches the zero-activity ones, which
+VSIDS orders by index alone.  Trail positions are not stored: a literal is
+on the trail at most once, so readers derive them.  ``TrailState``'s
 methods extend the trail and ``backtrack`` undoes it.
 """
 
@@ -39,8 +41,9 @@ class TrailState:
         self.lazy_lvl = [INF] * n  # cached level of lazy_cl minus its satisfied literal
         self.saved_phase = [1] * n  # sign bit of last assignment; initial phase negative
         self.activity = [0.0] * n  # per variable: VSIDS activity
-        self.heap = [(-0.0, v) for v in range(1, n)]  # all zero: already a heap
-        self.queued = [False] + [True] * num_vars  # per variable: has a current heap entry
+        self.heap = []  # no activity yet: the cursor reaches every variable
+        self.queued = [False] * n  # per variable: has a current heap entry
+        self.cursor = 1  # the index tier's scan resumes here
         self.trail = []
         self.head = 0
         self.decisions = []
@@ -48,28 +51,33 @@ class TrailState:
         self.trace = trace
 
     def rebuild_heap(self):
-        """One current heap entry per unassigned variable, and nothing else.
+        """One current heap entry per unassigned variable of positive activity.
 
         The decision heap is a lazy binary heap of ``(-activity, var)``
         entries, the VSIDS order heap of Chaff and MiniSat: unassigned
-        variables by decreasing activity, lowest index on ties.  Invariant:
-        every unassigned variable has ``queued`` set, and a queued variable
-        has an entry keyed at its current activity.  Other entries are
-        stale: their variable is assigned, or they carry an older, lower
-        activity (activity only grows between rebuilds) and so sort after
-        the variable's current entry.
+        variables by decreasing activity, lowest index on ties.  Among
+        zero-activity variables that order is index order, so they need no
+        heap: ``Solver.decide`` scans them up from ``cursor``.  Invariant:
+        every unassigned variable with positive activity, and every
+        unassigned variable below ``cursor``, has ``queued`` set, and a
+        queued variable has an entry keyed at its current activity.  Other
+        entries are stale: their variable is assigned, or they carry an
+        older, lower activity (activity only grows between rebuilds) and so
+        sort after the variable's current entry.  ``cursor`` only rises
+        between rebuilds, and a rebuild resets it to 1.
         """
         activity = self.activity
         queued = self.queued
         val = self.val
         heap = []
         for v in range(1, len(activity)):
-            free = val[v << 1] == UNDEF
-            queued[v] = free
-            if free:
+            keep = val[v << 1] == UNDEF and activity[v] > 0.0
+            queued[v] = keep
+            if keep:
                 heap.append((-activity[v], v))
         heapify(heap)
         self.heap = heap
+        self.cursor = 1
 
     # -- queries ---------------------------------------------------------
 
@@ -166,7 +174,10 @@ def backtrack(state, d, mode, stats):
                 is reimplied at the end of the queue, lowest level first.
 
     Every mode requeues each variable it unassigns that lacks a current heap
-    entry, which keeps the invariant that ``TrailState.rebuild_heap`` states.
+    entry and has positive activity or lies below ``TrailState.cursor``,
+    which keeps the invariant that ``TrailState.rebuild_heap`` states.  The
+    cursor never moves back, so a zero-activity variable at or above it
+    waits for the cursor's scan instead.
 
     Every literal before the decision that opened level d + 1 has a level
     of at most d, so only the trail from there on is scanned and compacted.
@@ -183,6 +194,7 @@ def backtrack(state, d, mode, stats):
     heap = st.heap  # bound once: nothing rebuilds the heap during a backtrack
     queued = st.queued
     activity = st.activity
+    cursor = st.cursor
 
     start = trail.index(st.decisions[d])
     # rscb rewinds the head to the start; elsewhere kept literals keep their side of it
@@ -208,7 +220,7 @@ def backtrack(state, d, mode, stats):
         val[lit ^ 1] = UNDEF
         level[v] = INF
         st.reason[v] = None
-        if not queued[v]:
+        if not queued[v] and (v < cursor or activity[v]):
             queued[v] = True
             heappush(heap, (-activity[v], v))
     removed = len(trail) - w

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -101,15 +102,28 @@ def test_decide_phase_saving_follows_last_assignment():
 
 
 def test_decide_names_a_broken_heap():
-    # step() decides only while a variable is unassigned, so an empty heap
-    # there means the heap invariant broke, not that the caller erred.
-    s = Solver(random_3sat(20, 91, 0), cfg(cb_threshold=1))
-    s.setup()
-    s.prop.bcp()
-    assert len(s.state.trail) < s.formula.num_vars
-    s.state.heap.clear()
-    with pytest.raises(AssertionError, match=r"no heap entry \(rebuild_heap\)"):
-        s.decide()
+    # step() decides only while a variable is unassigned, so finding none
+    # means the two-tier invariant of rebuild_heap broke, not that the
+    # caller erred.  The heap tier fails when an unassigned variable of
+    # positive activity has no entry; the index tier when the cursor has
+    # passed an unassigned zero-activity variable that has none.
+    message = r"no unassigned variable in the heap or at or after the cursor \(rebuild_heap\)"
+    for broken in ("positive activity", "cursor past the end"):
+        s = Solver(random_3sat(20, 91, 0), cfg(cb_threshold=1))
+        s.setup()
+        s.prop.bcp()
+        st = s.state
+        n = s.formula.num_vars
+        assert len(st.trail) < n
+        if broken == "positive activity":
+            for v in range(1, n + 1):
+                st.activity[v] = 1.0
+        else:
+            assert any(st.val[v << 1] == UNDEF for v in range(1, n + 1))
+            st.cursor = n + 1
+        st.heap.clear()
+        with pytest.raises(AssertionError, match=message):
+            s.decide()
 
 
 def _scan_decide(solver):
@@ -125,39 +139,100 @@ def _scan_decide(solver):
     return (best << 1) | solver.state.saved_phase[best]
 
 
+class _CheckedDecide:
+    """Wraps one solver's decide: checks each decision against the full scan,
+    logs each decided variable with the tier that served it, counts the
+    rescales between decisions, and checks that the cursor never moves back
+    between two decisions unless the heap was rebuilt."""
+
+    def __init__(self, s):
+        self.s = s
+        self.log = []  # (variable, "heap" or "index") per decision
+        self.rebuilds = 0
+        self.rescales = 0
+        self.var_inc = s.var_inc
+        self.cursor = s.state.cursor
+        self.cursor_rebuilds = 0
+        rebuild = s.state.rebuild_heap
+
+        def counted_rebuild():
+            self.rebuilds += 1
+            rebuild()
+
+        s.state.rebuild_heap = counted_rebuild
+        s.decide = self
+
+    def __call__(self):
+        s = self.s
+        self.rescales += s.var_inc < self.var_inc
+        self.var_inc = s.var_inc
+        got = Solver.decide(s)
+        assert got == _scan_decide(s)
+        assert len(s.state.heap) <= 2 * s.formula.num_vars
+        # the heap tier leaves its decision on top; the index tier drains it
+        self.log.append((got >> 1, "heap" if s.state.heap else "index"))
+        cursor = s.state.cursor
+        assert cursor >= self.cursor or self.rebuilds > self.cursor_rebuilds
+        self.cursor = cursor
+        self.cursor_rebuilds = self.rebuilds
+        return got
+
+
 def test_decide_matches_activity_scan(monkeypatch):
     # VSIDS_DECAY -> instances.  Decay 0.5 doubles the bump each conflict,
     # so the 80-variable runs pass the 1e100 rescale and rebuild the heap
-    # mid-search.
+    # mid-search.  The 1500-variable instance has a few conflicts and
+    # hundreds of decisions, so the cursor serves most of them.
     groups = {
-        0.95: [random_3sat(30, 128, seed) for seed in range(4)],
-        0.5: [random_3sat(80, 341, seed) for seed in (0, 1)],
+        (30, 0.95): [random_3sat(30, 128, seed) for seed in range(4)],
+        (80, 0.5): [random_3sat(80, 341, seed) for seed in (0, 1)],
+        (1500, 0.95): [random_3sat(1500, 3750, 0)],
     }
-    for mode, decay in itertools.product(("ncb", "wcb", "rscb", "lscb"), (0.95, 0.5)):
-        instances = groups[decay]
+    for mode, (n, decay) in itertools.product(("ncb", "wcb", "rscb", "lscb"), groups):
         monkeypatch.setattr(solver_mod, "VSIDS_DECAY", decay)
         rescales = 0
-        for f in instances:
-            c = cfg(mode=mode, cb_threshold=1)
-            s = Solver(f.copy(), c)
-            n = f.num_vars
-            last_inc = [s.var_inc]
-
-            def checked_decide(s=s, n=n, last_inc=last_inc):
-                nonlocal rescales
-                if s.var_inc < last_inc[0]:
-                    rescales += 1
-                last_inc[0] = s.var_inc
-                got = Solver.decide(s)
-                assert got == _scan_decide(s), (mode, decay)
-                assert len(s.state.heap) <= 2 * n
-                return got
-
-            s.decide = checked_decide
+        by_tier = Counter()
+        for f in groups[n, decay]:
+            s = Solver(f.copy(), cfg(mode=mode, cb_threshold=1))
+            checked = _CheckedDecide(s)
             s.solve()
             assert s.stats.decisions > 0
+            rescales += checked.rescales
+            by_tier.update(tier for _, tier in checked.log)
         if decay == 0.5:
             assert rescales > 0, mode
+        if n == 30:
+            assert by_tier["heap"] > 0 and by_tier["index"] > 0, (mode, by_tier)
+        if n == 1500:
+            assert by_tier["index"] > by_tier["heap"], (mode, by_tier)
+
+
+def test_decide_after_an_activity_rescales_to_zero():
+    # A rescale that underflows an activity to 0.0 is the only way a
+    # variable leaves the heap tier for the index tier again.
+    s = Solver(random_3sat(30, 128, 3), cfg(cb_threshold=1))
+    checked = _CheckedDecide(s)
+    assert s.setup() is None
+    while s.step() != "learn":
+        pass
+    st = s.state
+    # The latest decision that the first conflict left unbumped.  It is
+    # assigned, so giving it a positive activity keeps the invariant, and
+    # the next backtrack that unassigns it pushes it onto the heap.
+    v = [x >> 1 for x in st.decisions if st.activity[x >> 1] == 0.0][-1]
+    st.activity[v] = 5e-324
+    # Within two conflicts a bump passes VSIDS_RESCALE, and the rescale
+    # underflows v's activity to 0.0 unless a conflict bumps v first.
+    s.var_inc = solver_mod.VSIDS_RESCALE * 0.99
+    rebuilds = checked.rebuilds
+    while st.activity[v] != 0.0:
+        assert s.step() not in ("sat", "unsat")
+    assert checked.rebuilds > rebuilds and s.var_inc < 2.0  # rescaled by 1e-100
+    fell = len(checked.log)
+    kind = None
+    while kind not in ("sat", "unsat"):
+        kind = s.step()
+    assert (v, "index") in checked.log[fell:]
 
 
 def test_solver_leaves_no_reference_cycle():
