@@ -11,7 +11,6 @@ from .formula import (
     Clause,
     DimacsError,
     Formula,
-    lit_from_int,
     lit_to_int,
     parse_dimacs,
     write_dimacs,
@@ -38,7 +37,6 @@ __all__ = [
     "Violation",
     "check_ids",
     "choose_backtrack_level",
-    "lit_from_int",
     "lit_to_int",
     "minimize",
     "parse_dimacs",

@@ -16,20 +16,27 @@ or over the trail, exactly as the invariant is stated:
                                 on a clause whose blocker is set; holds in
                                 ncb and lscb, while blockers void 1, 4, 5, 7
 
-The clause scan reads the watched literals each clause holds.  It skips a
-clause whose watches are both unfalsified, and a watch orientation whose
-other watch is satisfied at or below the falsified one's level (that alone
-satisfies 1, 4, 5, 7 and 8), before it builds any detail; the detail string
-is formatted only for a reported violation.  Likewise one pass over a
-reason that holds its literal, with every other literal falsified earlier
-on the trail, settles 2 and 3; only another reason has its literal
-formatted and is scanned for reports.
+Each call first marks, in a fresh per-literal table, the literals
+falsified in the propagated prefix: every falsified literal (found with
+``list.index``) whose variable's last trail position is below the head, or
+which is missing from the trail.  The clause scan then reads each stored
+clause's two watched literals against that table, and only a clause with a
+marked watch is looked at further.  A watch orientation whose other watch is
+satisfied at or below the falsified one's level satisfies 1, 4, 5, 7 and 8
+at once and is passed over inline; any other orientation violates 5, and
+``_watch_reports`` tests the rest and formats the details.  Likewise one
+pass over a reason that holds its literal, with every other literal
+falsified earlier on the trail, settles 2 and 3; only another reason has
+its literal formatted and is scanned for reports.  The stored-MLI loop runs
+only when some variable holds one.
 
-Checks are read-only, take nothing but the state and the formula, and are
-O(total clause size).  Trail positions are derived by one pass over the
-trail.  Checks expect a quiescent state: a pending conflict legitimately
-violates 4/5/7 on the conflicting clause until backtracking and
-learned-clause installation finish.
+Checks are read-only, take nothing but the state and the formula, keep
+nothing between calls, and are O(total clause size): every call scans
+every stored clause and every trail literal, never the watch lists.  Trail
+positions are derived by one pass over the trail.  Checks expect a
+quiescent state: a pending conflict legitimately violates 4/5/7 on the
+conflicting clause until backtracking and learned-clause installation
+finish.
 """
 
 from __future__ import annotations
@@ -61,49 +68,43 @@ def check_ids(state, formula):
     out = []
     val = state.val
     level = state.level
+    reason_of = state.reason
+    lazy_cl = state.lazy_cl
+    trail = state.trail
     head = state.head
     pos = [-1] * (state.num_vars + 1)  # trail index per variable, -1 if unassigned
-    for p, lit in enumerate(state.trail):
+    for p, lit in enumerate(trail):
         pos[lit >> 1] = p
 
-    lazy_cl = state.lazy_cl
+    # in_prefix[x]: literal x is falsified in the propagated prefix.  A
+    # falsified variable missing from the trail has position -1, so it counts.
+    in_prefix = [False] * len(val)
+    k = 0
+    for _ in range(val.count(FALSE)):
+        k = val.index(FALSE, k)
+        if pos[k >> 1] < head:
+            in_prefix[k] = True
+        k += 1
+
     for clause in formula.clauses:
-        w0 = clause.w0
-        w1 = clause.w1
-        if (val[w0] != FALSE and val[w1] != FALSE) or w0 == w1:
-            continue  # neither watch is falsified, or a unit clause (never watched)
-        for c1, c2 in ((w0, w1), (w1, w0)):
-            if val[c1] != FALSE or pos[c1 >> 1] >= head:
-                continue  # ¬c1 not in the propagated prefix
-            lvl1 = level[c1 >> 1]
-            lvl2 = level[c2 >> 1]
-            c2_sat = val[c2] == TRUE
-            if c2_sat and lvl2 <= lvl1:
-                continue  # satisfied at or below: 1, 4, 5, 7 and 8 all hold
-            lazy_ok = False
-            if c2_sat:
-                mli = lazy_cl[c2 >> 1]
-                lazy_ok = mli is not None and state.residual_level(mli.lits, c2) <= lvl1
-            b = clause.blocker
-            f8 = b != 0 and not lazy_ok and not (val[b] == TRUE and level[b >> 1] <= lvl1)
-            where = "C%d" % clause.index
-            ctx = "c1=%d@%s c2=%d@%s" % (lit_to_int(c1), lvl1, lit_to_int(c2), lvl2)
-            if val[c2] == FALSE and pos[c2 >> 1] < head:
-                out.append(Violation(1, where, "both watches falsified in prefix; " + ctx))
-            if not c2_sat:
-                out.append(Violation(4, where, "watch falsified, other not satisfied; " + ctx))
-            out.append(Violation(5, where, "other watch not satisfied at or below; " + ctx))
-            if not lazy_ok:
-                out.append(Violation(7, where, "no low satisfaction nor stored MLI; " + ctx))
-            if f8:
-                out.append(Violation(8, where, "neither MLI cover nor blocker; " + ctx))
+        if in_prefix[clause.w0] or in_prefix[clause.w1]:
+            w0 = clause.w0
+            w1 = clause.w1
+            if w0 == w1:
+                continue  # a unit clause, never watched
+            # a watch orientation holds at once when its other watch is
+            # satisfied at or below the falsified one's level
+            if in_prefix[w0] and (val[w1] != TRUE or level[w1 >> 1] > level[w0 >> 1]):
+                _watch_reports(out, state, clause, w0, w1, in_prefix[w1])
+            if in_prefix[w1] and (val[w0] != TRUE or level[w0 >> 1] > level[w1 >> 1]):
+                _watch_reports(out, state, clause, w1, w0, in_prefix[w0])
 
     dec = set(state.decisions)
-    for lit in state.trail:
+    for lit in trail:
         v = lit >> 1
         if lit in dec:
             continue
-        reason = state.reason[v]
+        reason = reason_of[v]
         if reason is not None:
             # a sound reason satisfies 2 and 3; only a broken one is reported
             p = pos[v]
@@ -128,7 +129,9 @@ def check_ids(state, formula):
             if x != lit and (val[x ^ 1] != TRUE or pos[x >> 1] > p):
                 out.append(Violation(3, who, "reason literal %d not before it" % lit_to_int(x)))
 
-    for v, clause in enumerate(state.lazy_cl):
+    if lazy_cl.count(None) == len(lazy_cl):
+        return out  # no stored MLI
+    for v, clause in enumerate(lazy_cl):
         if clause is None:
             continue
         plit = v << 1
@@ -157,3 +160,31 @@ def check_ids(state, formula):
             )
 
     return out
+
+
+def _watch_reports(out, state, clause, c1, c2, c2_in_prefix):
+    """Append the reports of one watch orientation: c1 is falsified in the
+    propagated prefix, and c2 is not satisfied at or below c1's level, so
+    invariant 5 is violated and 1, 4, 7 and 8 are tested."""
+    val = state.val
+    level = state.level
+    lvl1 = level[c1 >> 1]
+    lvl2 = level[c2 >> 1]
+    c2_sat = val[c2] == TRUE
+    lazy_ok = False
+    if c2_sat:
+        mli = state.lazy_cl[c2 >> 1]
+        lazy_ok = mli is not None and state.residual_level(mli.lits, c2) <= lvl1
+    b = clause.blocker
+    f8 = b != 0 and not lazy_ok and not (val[b] == TRUE and level[b >> 1] <= lvl1)
+    where = "C%d" % clause.index
+    ctx = "c1=%d@%s c2=%d@%s" % (lit_to_int(c1), lvl1, lit_to_int(c2), lvl2)
+    if c2_in_prefix:
+        out.append(Violation(1, where, "both watches falsified in prefix; " + ctx))
+    if not c2_sat:
+        out.append(Violation(4, where, "watch falsified, other not satisfied; " + ctx))
+    out.append(Violation(5, where, "other watch not satisfied at or below; " + ctx))
+    if not lazy_ok:
+        out.append(Violation(7, where, "no low satisfaction nor stored MLI; " + ctx))
+    if f8:
+        out.append(Violation(8, where, "neither MLI cover nor blocker; " + ctx))

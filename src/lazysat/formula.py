@@ -10,12 +10,6 @@ encoded.
 from __future__ import annotations
 
 
-def lit_from_int(n: int) -> int:
-    """Encode a DIMACS-style signed literal."""
-    v = -n if n < 0 else n
-    return (v << 1) | (n < 0)
-
-
 def lit_to_int(lit: int) -> int:
     """Decode an encoded literal back to a signed integer."""
     v = lit >> 1

@@ -42,21 +42,24 @@ class Propagator:
 
     # -- watch bookkeeping -------------------------------------------------
 
-    def watch_clause(self, clause):
-        self.wl[clause.w0].append(clause)
-        self.wl[clause.w1].append(clause)
-        if self.blockers:
-            clause.blocker = clause.w1
+    def watch(self, clauses):
+        """Append each clause, in order, to the lists of its two watched
+        literals; with blockers, the blocker starts at ``w1``.  Unit clauses
+        are never watched, so every clause here has at least two literals."""
+        wl = self.wl
+        blockers = self.blockers
+        for clause in clauses:
+            wl[clause.w0].append(clause)
+            wl[clause.w1].append(clause)
+            if blockers:
+                clause.blocker = clause.w1
 
     def init_watches(self):
-        """Fill the watch lists from the stored clauses, in clause order, and
-        return the unit clauses, which are never watched."""
-        units = []
-        for clause in self.formula.clauses:
-            if len(clause.lits) >= 2:
-                self.watch_clause(clause)
-            else:
-                units.append(clause)
+        """Watch the stored clauses, in clause order, and return the unit
+        clauses, which are never watched."""
+        clauses = self.formula.clauses
+        units = [clause for clause in clauses if len(clause.lits) < 2]
+        self.watch([clause for clause in clauses if len(clause.lits) >= 2] if units else clauses)
         return units
 
     def rewatch(self, clause, lit0, lit1):
@@ -156,11 +159,10 @@ class Propagator:
             c1 = trail[head] ^ 1
             lvl_c1 = level[c1 >> 1]
             watchers = wl[c1]
-            i = j = 0
-            n_w = len(watchers)
-            while i < n_w:
-                clause = watchers[i]
-                i += 1
+            # visited so far: j kept, compacted into watchers[:j], plus moved to
+            # other lists; only other lists grow while this one is scanned
+            j = moved = 0
+            for clause in watchers:
                 if blockers:
                     b = clause.blocker
                     if b and val[b] == TRUE and level[b >> 1] <= lvl_c1:
@@ -195,13 +197,14 @@ class Propagator:
                     else:
                         clause.w1 = r
                     wl[r].append(clause)
+                    moved += 1
                     if val[r ^ 1] != TRUE:
                         if blockers and val[r] == TRUE:
                             clause.blocker = r
                         continue
                 # The clause minus c2 is fully falsified and r has its maximal level.
                 if vc2 == FALSE:
-                    del watchers[j:i]  # keeps the unvisited watchers after the kept ones
+                    del watchers[j : j + moved]  # keeps the unvisited ones after the kept ones
                     st.head = head
                     stats.propagations += props
                     return clause

@@ -191,7 +191,7 @@ class Solver:
             if len(learned.lits) > 1:
                 clause.w0 = lit
                 clause.w1 = self._second_watch_lit(learned)
-                self.prop.watch_clause(clause)
+                self.prop.watch((clause,))
         st.enqueue_implied(lit, clause, learned.second_level)
         if st.trace is not None:
             st.trace(

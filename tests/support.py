@@ -3,17 +3,24 @@
 The two replay fixtures (S1, S2) drive the solver building blocks through a
 pinned event script and expose snapshots for bit-exact assertions.
 ``reference_parse_dimacs`` is the line-then-clause DIMACS reader that the
-one-pass ``parse_dimacs`` is checked against.
+one-pass ``parse_dimacs`` is checked against, and ``lit_from_int`` encodes
+the signed literals that test scripts are written in.
 """
 
 from __future__ import annotations
 
 from lazysat.analyze import analyze as run_analysis
 from lazysat.checker import check_ids
-from lazysat.formula import DimacsError, Formula, lit_from_int, lit_to_int
+from lazysat.formula import DimacsError, Formula, lit_to_int
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import TRUE, backtrack
 from lazysat.testkit import brute_force
+
+
+def lit_from_int(n):
+    """Encode a DIMACS-style signed literal, as ``parse_dimacs`` does."""
+    v = -n if n < 0 else n
+    return (v << 1) | (n < 0)
 
 
 def truth_table_sat(formula):

@@ -4,12 +4,12 @@ from collections import Counter
 import pytest
 
 from lazysat.analyze import LearnedClause, analyze, minimize
-from lazysat.formula import Clause, Formula, lit_from_int, lit_to_int
-from lazysat.formula import lit_from_int as lit
+from lazysat.formula import Clause, Formula, lit_to_int
 from lazysat.solver import MODES, Solver, SolverConfig
 from lazysat.state import FALSE, TrailState, backtrack
 from lazysat.testkit import random_3sat
-from support import entails, s2_replay, trail_positions
+from support import entails, lit_from_int, s2_replay, trail_positions
+from support import lit_from_int as lit
 
 
 def lits(*ns):

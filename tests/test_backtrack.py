@@ -4,10 +4,10 @@ import pytest
 
 import lazysat.solver as solver_module
 from lazysat.formula import Formula
-from lazysat.formula import lit_from_int as lit
 from lazysat.solver import Solver, SolverConfig, Stats
 from lazysat.state import INF, UNDEF, TrailState, backtrack
 from lazysat.testkit import random_3sat, satlib_clause_count
+from support import lit_from_int as lit
 from support import s1_replay, violations
 
 

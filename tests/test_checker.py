@@ -1,14 +1,22 @@
+import random
 from collections import Counter
 from operator import setitem
 
 import pytest
 
 from lazysat.checker import Violation, check_ids
-from lazysat.formula import Formula, lit_from_int, lit_to_int
+from lazysat.formula import Formula, lit_to_int
 from lazysat.solver import MODES, Solver, SolverConfig
-from lazysat.state import INF, TRUE, UNDEF, TrailState
+from lazysat.state import FALSE, INF, TRUE, UNDEF, TrailState
 from lazysat.testkit import random_3sat
-from support import s1_replay, state_hash, trail_positions, violations
+from support import (
+    lit_from_int,
+    s1_replay,
+    s2_replay,
+    state_hash,
+    trail_positions,
+    violations,
+)
 
 
 def test_wcb_replay_violates_strong_watches_only():
@@ -28,7 +36,6 @@ def test_lscb_replay_keeps_lazy_invariants():
     # replay the scripted scenario up to the quiescent point after the
     # backtrack and reimplication (a pending conflict legitimately breaks
     # the clause invariants, hence the checker's quiescence precondition)
-    from lazysat.formula import lit_from_int
     from support import Rig, force_watch_order, s1_formula
 
     rig = Rig(s1_formula(), mode="lscb")
@@ -296,28 +303,173 @@ def _reference_clause_scan(state, formula, blockers):
     return out
 
 
+def _corrupt(state, formula, kind, rng):
+    """Break one field of a live state in place, so that ``val``, ``trail``
+    and positions, watches or the trail tables disagree; return a function
+    that restores it, or None when the state has nothing to break that way."""
+    val = state.val
+    trail = state.trail
+    if kind == "falsified off the trail":
+        free = [v for v in range(1, state.num_vars + 1) if val[v << 1] == UNDEF]
+        if not free:
+            return None
+        x = rng.choice(free) << 1 | rng.randrange(2)
+        val[x] = FALSE
+        val[x ^ 1] = TRUE
+        state.level[x >> 1] = rng.randint(0, len(state.decisions))
+
+        def undo():
+            val[x] = val[x ^ 1] = UNDEF
+            state.level[x >> 1] = INF
+
+    elif kind == "duplicate trail entry":
+        if not trail:
+            return None
+        p = rng.randint(0, len(trail))
+        trail.insert(p, rng.choice(trail))
+
+        def undo():
+            del trail[p]
+
+    elif kind == "watch on a falsified literal":
+        moves = [
+            (c, x)
+            for c in formula.clauses
+            for x in c.lits
+            if val[x] == FALSE and x != c.w0 and x != c.w1
+        ]
+        if not moves:
+            return None
+        clause, x = rng.choice(moves)
+        slot = rng.choice(("w0", "w1"))
+        old = getattr(clause, slot)
+        setattr(clause, slot, x)
+
+        def undo():
+            setattr(clause, slot, old)
+
+    elif kind == "stale lazy_lvl":
+        stored = [v for v in range(1, state.num_vars + 1) if state.lazy_cl[v] is not None]
+        if not stored:
+            return None
+        v = rng.choice(stored)
+        old = state.lazy_lvl[v]
+        state.lazy_lvl[v] = old + rng.choice((-1, 1))
+
+        def undo():
+            state.lazy_lvl[v] = old
+
+    else:
+        assert kind == "cleared reason"
+        implied = [lit >> 1 for lit in trail if state.reason[lit >> 1] is not None]
+        if not implied:
+            return None
+        v = rng.choice(implied)
+        old = state.reason[v]
+        state.reason[v] = None
+
+        def undo():
+            state.reason[v] = old
+
+    return undo
+
+
+CORRUPTIONS = (
+    "falsified off the trail",
+    "duplicate trail entry",
+    "watch on a falsified literal",
+    "stale lazy_lvl",
+    "cleared reason",
+)
+
+
+def _s2_state():
+    """S2's out-of-order trail with a stored MLI on -3 and a pending queue."""
+    rig = s2_replay()["rig"]
+    return rig.state, rig.formula
+
+
+def _matches_reference(state, formula, blockers, where):
+    """The checker's reports, asserted equal to the reference scans' in order."""
+    got = check_ids(state, formula)
+    want = _reference_clause_scan(state, formula, blockers) + _reference_trail_scan(state)
+    assert _triples(got) == _triples(want), where
+    return got
+
+
 def test_check_ids_matches_reference_scan():
     # the fast clause and trail scans must report exactly what the
     # straightforward ones do, in the same order, at every step of real
-    # solves in every mode
+    # solves in every mode, and on each step's state with one field broken
+    # (a seeded corruption per step, the kinds in turn)
     fired = set()
+    changed = Counter()  # corruption kind -> states where it changed the report
     for mode in ("ncb", "wcb", "rscb", "lscb"):
         for blockers in (False, True):
             for seed in range(6):
+                rng = random.Random("%s %s %d" % (mode, blockers, seed))
                 s = Solver(
                     random_3sat(20, 86, seed),
                     SolverConfig(mode=mode, cb_threshold=1, blockers=blockers),
                 )
                 assert s.setup() is None
                 kind = "setup"
+                steps = 0
                 while True:
-                    got = check_ids(s.state, s.formula)
-                    want = _reference_clause_scan(
-                        s.state, s.formula, blockers
-                    ) + _reference_trail_scan(s.state)
-                    assert _triples(got) == _triples(want), (mode, blockers, seed, kind)
+                    where = (mode, blockers, seed, kind)
+                    got = _matches_reference(s.state, s.formula, blockers, where)
                     fired.update(v.invariant for v in got)
+                    broken = CORRUPTIONS[steps % len(CORRUPTIONS)]
+                    undo = _corrupt(s.state, s.formula, broken, rng)
+                    if undo is not None:
+                        bad = _matches_reference(s.state, s.formula, blockers, where + (broken,))
+                        changed[broken] += bad != got
+                        undo()
                     if kind in ("sat", "unsat"):
                         break
                     kind = s.step()
+                    steps += 1
     assert {1, 4, 5, 7, 8} <= fired
+    # these solves store no MLI, so the scripted states, which hold one,
+    # take every kind of corruption too
+    rng = random.Random(0)
+    for make in (_trail_state, _s2_state):
+        for broken in CORRUPTIONS * 8:
+            st, f = make()
+            got = _matches_reference(st, f, False, broken)
+            if _corrupt(st, f, broken, rng) is not None:
+                changed[broken] += _matches_reference(st, f, False, broken) != got
+    assert all(changed[k] for k in CORRUPTIONS), changed
+
+
+def test_check_ids_reads_the_clauses_not_the_watch_lists():
+    # every call scans formula.clauses: a violating clause that no watch
+    # list holds is still reported
+    rig = s1_replay("wcb")["rig"]
+    want = check_ids(rig.state, rig.formula)
+    c3 = rig.formula.clauses[3]
+    assert any(v.subject == "C3" for v in want)
+    for bucket in rig.prop.wl:
+        while c3 in bucket:
+            bucket.remove(c3)
+    assert check_ids(rig.state, rig.formula) == want
+
+
+def test_check_ids_keeps_nothing_between_calls():
+    # a watch moved between two calls, with no watch list told, changes the
+    # second report, and moving it back restores the first
+    f = Formula(3)
+    clause = f.add_clause([2, 3, -1])
+    st = TrailState(3)
+    st.enqueue_decision(lit_from_int(1))
+    st.head = 1
+    assert check_ids(st, f) == []
+    clause.w1 = lit_from_int(-1)
+    ctx = "c1=-1@1 c2=2@inf"
+    assert _triples(check_ids(st, f)) == [
+        (4, "C0", "watch falsified, other not satisfied; " + ctx),
+        (5, "C0", "other watch not satisfied at or below; " + ctx),
+        (7, "C0", "no low satisfaction nor stored MLI; " + ctx),
+    ]
+    clause.w1 = lit_from_int(3)
+    assert check_ids(st, f) == []

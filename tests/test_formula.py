@@ -5,12 +5,11 @@ import pytest
 from lazysat.formula import (
     DimacsError,
     Formula,
-    lit_from_int,
     lit_to_int,
     parse_dimacs,
     write_dimacs,
 )
-from support import reference_parse_dimacs
+from support import lit_from_int, reference_parse_dimacs
 
 
 def units(formula):

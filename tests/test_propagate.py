@@ -2,11 +2,11 @@ import itertools
 import random
 
 from lazysat.formula import Formula, lit_to_int
-from lazysat.formula import lit_from_int as lit
 from lazysat.propagate import Propagator
 from lazysat.solver import MODES, Solver, SolverConfig, Stats
 from lazysat.state import FALSE, TRUE, TrailState
 from lazysat.testkit import random_3sat
+from support import lit_from_int as lit
 from support import s1_replay, s2_replay
 
 
@@ -187,31 +187,26 @@ def clause_fields(formula):
     ]
 
 
-def assert_init_watches_matches_watch_clause(make_formula, blockers):
-    """``init_watches`` on one formula equals ``watch_clause`` on each
-    non-unit clause of an identical one, in clause order."""
-    f, twin = make_formula(), make_formula()
-    n = f.num_vars
-    fast = Propagator(f, TrailState(n), "lscb", Stats(), blockers)
-    ref = Propagator(twin, TrailState(n), "lscb", Stats(), blockers)
-    units = fast.init_watches()
-    want_units = []
-    for c in twin.clauses:
-        if len(c.lits) >= 2:
-            ref.watch_clause(c)
-        else:
-            want_units.append(c)
-    assert [c.index for c in units] == [c.index for c in want_units]
-    assert [[c.index for c in bucket] for bucket in fast.wl] == [
-        [c.index for c in bucket] for bucket in ref.wl
-    ]
-    assert clause_fields(f) == clause_fields(twin)
-
-
-def test_init_watches_matches_watch_clause():
+def test_init_watches_watches_the_first_two_literals():
+    # each clause of two or more literals joins the lists of lits[0] and
+    # lits[1], in clause order, and with blockers its blocker is w1; unit
+    # clauses are returned in order and never watched
     for seed in range(40):
         for blockers in (False, True):
-            assert_init_watches_matches_watch_clause(lambda: mixed_formula(seed), blockers)
+            f, twin = mixed_formula(seed), mixed_formula(seed)
+            prop = Propagator(f, TrailState(f.num_vars), "lscb", Stats(), blockers)
+            units = prop.init_watches()
+            want_wl = [[] for _ in prop.wl]
+            for c in twin.clauses:
+                if len(c.lits) >= 2:
+                    want_wl[c.lits[0]].append(c.index)
+                    want_wl[c.lits[1]].append(c.index)
+                    assert (c.w0, c.w1) == (c.lits[0], c.lits[1])
+                    if blockers:
+                        c.blocker = c.w1
+            assert [c.index for c in units] == [c.index for c in twin.clauses if len(c.lits) < 2]
+            assert [[c.index for c in bucket] for bucket in prop.wl] == want_wl
+            assert clause_fields(f) == clause_fields(twin)
 
 
 def rewatch_rig():

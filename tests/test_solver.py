@@ -8,11 +8,11 @@ import pytest
 import lazysat.solver as solver_mod
 from lazysat.analyze import LearnedClause
 from lazysat.formula import Formula, lit_to_int
-from lazysat.formula import lit_from_int as lit
 from lazysat.solver import Solver, SolverConfig, choose_backtrack_level
 from lazysat.solver import SolverConfig as cfg
 from lazysat.state import UNDEF, backtrack
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
+from support import lit_from_int as lit
 from support import replay_trace, s1_formula, violations
 
 

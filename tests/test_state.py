@@ -1,8 +1,8 @@
 import pytest
 
 from lazysat.formula import Formula
-from lazysat.formula import lit_from_int as lit
 from lazysat.state import FALSE, INF, TRUE, UNDEF, TrailState
+from support import lit_from_int as lit
 from support import s1_replay
 
 
