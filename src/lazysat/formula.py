@@ -20,13 +20,15 @@ class Clause:
     """A stored disjunction with two watch slots and an optional blocker.
 
     ``w0``/``w1`` hold the two watched literals, as MiniSat's watches do; unit
-    clauses are never watched and hold ``lits[0]`` in both.  ``search_pos``
-    is the rotating start index for replacement scans during propagation;
-    only clauses longer than three use it, since a ternary clause has a
-    single candidate.
+    clauses are never watched and hold ``lits[0]`` in both.  A ternary
+    clause has a single replacement candidate, its literal sum minus both
+    watches, so ``sum3`` stores that sum for a clause of three literals and
+    0 for any other length; ``lits`` must not change after construction.
+    ``search_pos`` is the rotating start index for the replacement scans of
+    the other lengths.
     """
 
-    __slots__ = ("lits", "w0", "w1", "blocker", "learned", "index", "search_pos")
+    __slots__ = ("lits", "w0", "w1", "blocker", "learned", "index", "search_pos", "sum3")
 
     def __init__(self, lits, learned=False, index=-1):
         self.lits = lits
@@ -36,6 +38,7 @@ class Clause:
         self.learned = learned
         self.index = index
         self.search_pos = 0
+        self.sum3 = lits[0] + lits[1] + lits[2] if len(lits) == 3 else 0
 
     def to_ints(self):
         return [lit_to_int(x) for x in self.lits]
@@ -110,9 +113,10 @@ class Formula:
         """
         out = Formula(self.num_vars)
         out.trivially_unsat = self.trivially_unsat
+        clauses = out.clauses
         for clause in self.clauses:
             if not clause.learned:
-                out.store(list(clause.lits))
+                clauses.append(Clause(list(clause.lits), False, len(clauses)))
         return out
 
 
@@ -135,51 +139,66 @@ def parse_dimacs(text: str) -> Formula:
     with a complementary pair is dropped, and an empty clause marks the
     formula trivially unsatisfiable, as ``Formula.add_clause`` does.  The
     header's clause count is not enforced.
+
+    Each distinct token spelling is converted and checked once per call: a
+    table maps each spelling that has passed to its encoded literal (0 for
+    a terminator), so ``3``, ``+3`` and ``03`` each take one entry and
+    decode alike.  The table is fresh per call and grows with the distinct
+    tokens of the text, never with the declared variable count.  A token
+    enters it only after its checks pass, so a bad token fails on its own
+    line with the same message as without the table.
     """
     # int() also reads '1_2' and non-ASCII digits such as '\uff13'.  Text that
     # passes this screen holds neither; in other text each token is checked.
     to_int = int if text.isascii() and "_" not in text else _decimal
     formula = None
     top = 0  # largest encoded literal in range, set by the header
+    codes = {}  # token spelling -> encoded literal (0 = terminator), once checked
+    code = codes.get
     lits = []
     seen = set()
     tautology = False
     last_line = 0
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line[0] == "c":
+        toks = raw.split()
+        if not toks:
             continue
-        if line[0] == "%":
+        first = toks[0][0]
+        if first == "c":
+            continue
+        if first == "%":
             break
         last_line = lineno
-        if line[0] == "p":
+        if first == "p":
             if formula is not None:
                 raise DimacsError("duplicate 'p cnf' header", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError("malformed header %r" % line, lineno)
+            if len(toks) != 4 or toks[0] != "p" or toks[1] != "cnf":
+                raise DimacsError("malformed header %r" % raw.strip(), lineno)
             try:
-                nv = to_int(parts[2])
-                nc = to_int(parts[3])
+                nv = to_int(toks[2])
+                nc = to_int(toks[3])
             except ValueError:
-                raise DimacsError("malformed header %r" % line, lineno) from None
+                raise DimacsError("malformed header %r" % raw.strip(), lineno) from None
             if nv < 0 or nc < 0:
-                raise DimacsError("malformed header %r" % line, lineno)
+                raise DimacsError("malformed header %r" % raw.strip(), lineno)
             formula = Formula(nv)
             clauses = formula.clauses
             top = 2 * nv + 1
             continue
         if formula is None:
             raise DimacsError("clause data before 'p cnf' header", lineno)
-        for tok in line.split():
-            try:
-                n = to_int(tok)
-            except ValueError:
-                raise DimacsError("non-integer token %r" % tok, lineno) from None
-            if n:
-                lit = n + n if n > 0 else 1 - n - n
+        for tok in toks:
+            lit = code(tok)
+            if lit is None:
+                try:
+                    n = to_int(tok)
+                except ValueError:
+                    raise DimacsError("non-integer token %r" % tok, lineno) from None
+                lit = (n + n if n > 0 else 1 - n - n) if n else 0
                 if lit > top:
                     raise DimacsError("literal %d exceeds declared %d variables" % (n, nv), lineno)
+                codes[tok] = lit
+            if lit:
                 if lit in seen:
                     continue
                 if lit ^ 1 in seen:

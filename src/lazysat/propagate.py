@@ -18,11 +18,14 @@ lazy mode because the classical skip fires first.
 
 A clause holds its watched literals, so a visit reads them without loading
 its literal list.  A ternary clause has exactly one replacement candidate,
-the literal in neither watch slot (its literal sum minus both watches), so
-its visits resolve the replacement in place; ``_search_idx`` scans every
-other clause length and is the reference the in-place answer agrees with.
-Only ``_search_idx`` reads a clause's rotating ``search_pos``, so the
-ternary path leaves it alone.
+the literal in neither watch slot: its stored literal sum ``Clause.sum3``
+minus both watches.  So its visits resolve the replacement in place, from
+one attribute load and two subtractions; ``_search_idx`` scans every other
+clause length (``sum3`` is 0 there) and is the reference the in-place
+answer agrees with.  Only ``_search_idx`` reads a clause's rotating
+``search_pos``, so the ternary path leaves it alone.  Either way the
+replacement's value is read once and serves both the ternary level test
+and the "replacement not falsified" exit.
 """
 
 from __future__ import annotations
@@ -179,15 +182,17 @@ class Propagator:
                         watchers[j] = clause
                         j += 1
                         continue
-                lits = clause.lits
-                if len(lits) == 3:
+                r = clause.sum3  # 0 unless the clause is ternary
+                if r:
                     # _search_idx's answer for its one candidate: take it unless
                     # it is falsified below c1 (a level tie moves off c1)
-                    r = lits[0] + lits[1] + lits[2] - c1 - c2
-                    if val[r] == FALSE and level[r >> 1] < lvl_c1:
+                    r -= c1 + c2
+                    vr = val[r]
+                    if vr == FALSE and level[r >> 1] < lvl_c1:
                         r = c1
                 else:
-                    r = lits[self._search_idx(clause, c1, c2)]
+                    r = clause.lits[self._search_idx(clause, c1, c2)]
+                    vr = val[r]
                 if r == c1:
                     watchers[j] = clause
                     j += 1
@@ -198,8 +203,8 @@ class Propagator:
                         clause.w1 = r
                     wl[r].append(clause)
                     moved += 1
-                    if val[r ^ 1] != TRUE:
-                        if blockers and val[r] == TRUE:
+                    if vr != FALSE:
+                        if blockers and vr == TRUE:
                             clause.blocker = r
                         continue
                 # The clause minus c2 is fully falsified and r has its maximal level.

@@ -404,21 +404,27 @@ def test_check_ids_matches_reference_scan():
     # (a seeded corruption per step, the kinds in turn)
     fired = set()
     changed = Counter()  # corruption kind -> states where it changed the report
-    for mode in ("ncb", "wcb", "rscb", "lscb"):
+    holding_mli = 0  # checkpoints of real solves with a stored MLI
+    # (mode, analyze, variables, clauses, seeds); the 20-variable solves
+    # never store an MLI, and the 50-variable lscb ones with analyze=1 do
+    groups = [(mode, 2, 20, 86, range(6)) for mode in ("ncb", "wcb", "rscb", "lscb")]
+    groups.append(("lscb", 1, 50, 218, (0, 2)))
+    for mode, analyze, n, m, seeds in groups:
         for blockers in (False, True):
-            for seed in range(6):
+            for seed in seeds:
                 rng = random.Random("%s %s %d" % (mode, blockers, seed))
                 s = Solver(
-                    random_3sat(20, 86, seed),
-                    SolverConfig(mode=mode, cb_threshold=1, blockers=blockers),
+                    random_3sat(n, m, seed),
+                    SolverConfig(mode=mode, analyze=analyze, cb_threshold=1, blockers=blockers),
                 )
                 assert s.setup() is None
                 kind = "setup"
                 steps = 0
                 while True:
-                    where = (mode, blockers, seed, kind)
+                    where = (mode, analyze, n, blockers, seed, kind)
                     got = _matches_reference(s.state, s.formula, blockers, where)
                     fired.update(v.invariant for v in got)
+                    holding_mli += s.state.lazy_cl.count(None) < len(s.state.lazy_cl)
                     broken = CORRUPTIONS[steps % len(CORRUPTIONS)]
                     undo = _corrupt(s.state, s.formula, broken, rng)
                     if undo is not None:
@@ -430,8 +436,8 @@ def test_check_ids_matches_reference_scan():
                     kind = s.step()
                     steps += 1
     assert {1, 4, 5, 7, 8} <= fired
-    # these solves store no MLI, so the scripted states, which hold one,
-    # take every kind of corruption too
+    assert holding_mli > 0
+    # the scripted states, which hold an MLI, take every kind of corruption too
     rng = random.Random(0)
     for make in (_trail_state, _s2_state):
         for broken in CORRUPTIONS * 8:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -218,6 +219,59 @@ def test_parse_checks_each_token_of_unscreened_text():
     with pytest.raises(DimacsError) as exc:
         parse_dimacs("c \u00e9\np cnf 3 1\n1 4 \uff13 0\n")
     assert str(exc.value) == "line 3: literal 4 exceeds declared 3 variables"
+
+
+def test_parse_memory_follows_the_text_not_the_header():
+    # the token table holds the text's distinct spellings; nothing is sized
+    # by the declared variable count (about 1.6 KB peak measured here)
+    tracemalloc.start()
+    try:
+        f = parse_dimacs("p cnf 10000000 1\n1 -2 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.num_vars == 10_000_000
+    assert [c.to_ints() for c in f.clauses] == [[1, -2]]
+    assert peak < 64 * 1024
+
+
+def test_parse_spellings_of_one_literal_decode_alike():
+    f = parse_dimacs("p cnf 3 4\n3 +3 03 0\n-3 -03 0\n+03 -1 0\n1 -003 2 0\n")
+    assert [c.to_ints() for c in f.clauses] == [[3], [-3], [3, -1], [1, -3, 2]]
+    assert f.clauses[0].lits == [lit_from_int(3)]
+    f = parse_dimacs("p cnf 3 2\n1 +2 0\n-1 00 2 -0\n3 0\n")
+    assert [c.to_ints() for c in f.clauses] == [[1, 2], [-1], [2], [3]]
+
+
+def test_parse_keeps_no_token_table_between_calls():
+    # '4' passes the range check under 5 declared variables, not under 3
+    assert parse_dimacs("p cnf 5 1\n4 -4 1 0\n4 0\n").clauses[0].to_ints() == [4]
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs("p cnf 3 1\n1 0\n4 0\n")
+    assert str(exc.value) == "line 3: literal 4 exceeds declared 3 variables"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 3 3\n1 -2 3 0\n-1 2 -3 0\n3 -2 1 x 0\n", "line 4: non-integer token 'x'"),
+        (
+            "p cnf 3 3\n1 -2 3 0\n-1 2 -3 0\n3 -2 +4 0\n",
+            "line 4: literal 4 exceeds declared 3 variables",
+        ),
+        (
+            "p cnf 3 3\n1 -2 3 0\n\n-1 2 0\nc 4\n2 3 -4 0\n",
+            "line 6: literal -4 exceeds declared 3 variables",
+        ),
+        ("p cnf 3 3\n1 -2 3 0\n1 -2\n3 0 03 1.0 0\n", "line 4: non-integer token '1.0'"),
+    ],
+)
+def test_parse_bad_token_after_good_ones_keeps_its_line(text, message):
+    # the good tokens before it are in the token table by then
+    for parse in (parse_dimacs, reference_parse_dimacs):
+        with pytest.raises(DimacsError) as exc:
+            parse(text)
+        assert str(exc.value) == message
 
 
 def test_parse_long_clause_with_repeats():

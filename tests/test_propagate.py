@@ -1,7 +1,8 @@
 import itertools
 import random
+from collections import Counter
 
-from lazysat.formula import Formula, lit_to_int
+from lazysat.formula import Formula, lit_to_int, parse_dimacs
 from lazysat.propagate import Propagator
 from lazysat.solver import MODES, Solver, SolverConfig, Stats
 from lazysat.state import FALSE, TRUE, TrailState
@@ -307,6 +308,44 @@ def ternary_case(mode, w0, w1, c1_slot, third, c2_state):
     st.enqueue_implied(c1 ^ 1, None, C1_LEVEL)
     st.head = len(st.trail) - 1
     return st, prop, clause, c1, c2
+
+
+def test_every_clause_holds_its_ternary_sum():
+    # bcp takes a ternary clause's one replacement candidate from the stored
+    # sum3, so every way of making a Clause must store sum(lits) for three
+    # literals and 0 for any other length, and solving must not change it
+    made = Counter()  # (source, holds three literals) -> clauses checked
+
+    def check(source, clauses):
+        for c in clauses:
+            assert c.sum3 == (sum(c.lits) if len(c.lits) == 3 else 0), (source, c)
+            made[source, len(c.lits) == 3] += 1
+
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = 30
+        lines = ["p cnf %d 0" % n]
+        for _ in range(130):
+            vs = rng.sample(range(1, n + 1), rng.choice((3,) * 30 + (1, 2, 2, 2, 4, 4, 5)))
+            lines.append(" ".join(str(v if rng.random() < 0.5 else -v) for v in vs) + " 0")
+        f = parse_dimacs("\n".join(lines) + "\n")
+        parsed = list(f.clauses)
+        added = [f.add_clause(rng.sample(range(-n, 0), k)) for k in (2, 3, 4)]
+        stored = [
+            f.store([lit(v) for v in rng.sample(range(1, n + 1), k)], learned=k > 2)
+            for k in (2, 3, 4)
+        ]
+        for mode in MODES:
+            g = f.copy()
+            copied = list(g.clauses)
+            Solver(g, SolverConfig(mode=mode, cb_threshold=1)).solve()
+            check("copy", copied)
+            check("install_learned", g.clauses[len(copied) :])
+        check("parse_dimacs", parsed)
+        check("add_clause", added)
+        check("store", stored)
+    sources = ("parse_dimacs", "add_clause", "store", "copy", "install_learned")
+    assert all(made[source, three] for source in sources for three in (False, True)), made
 
 
 def test_ternary_watch_visit_matches_search_idx():
