@@ -1,36 +1,34 @@
 """First-UIP conflict analysis with lazy-reason awareness, plus clause minimization.
 
-The analysis resolves the conflicting clause against trail reasons until a
-single literal remains at the conflict level.  Strategy 2 additionally
-consults the lazy reimplication vector: it refuses to stop while the
-asserting candidate has a stored missed lower implication, resolving with
-that clause instead of the real reason.  Strategy 1 is the classical stop;
-with it the caller must tolerate the learned clause conflicting again after
-backtracking.
+Analysis is a function of literals: it resolves the literals of a fully
+falsified clause against trail reasons until a single literal remains at
+the conflict level.  Strategy 2 additionally consults the lazy
+reimplication vector: it refuses to stop while the asserting candidate has
+a stored missed lower implication, resolving with that clause instead of
+the real reason.  Strategy 1 is the classical stop; with it the caller
+must tolerate the learned clause conflicting again after backtracking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formula import Clause
 from .state import FALSE
 
 
 @dataclass
 class LearnedClause:
-    """Result of conflict analysis: fully falsified and implied by the formula."""
+    """Result of conflict analysis: literals falsified and implied by the formula."""
 
     lits: list  # encoded literals, resolution order
     level: int  # max level over the clause
     second_level: int  # second-highest distinct level (0 if |lits| <= 1)
     asserting: int  # the unique literal at `level`
-    source: Clause | None = None  # the conflicting clause itself, when returned unchanged
     steps: list = field(default_factory=list)  # (pivot trail literal, "reason" | "lazy")
 
 
-def analyze(state, conflict, strategy=2):
-    """Run conflict analysis on a fully falsified clause (or literal list).
+def analyze(state, lits, strategy=2):
+    """Run conflict analysis on the literals of a fully falsified clause.
 
     First UIP by a backward trail walk (Eén & Sörensson 2003).  ``seen``
     marks the variables of the resolvent and ``n`` counts its literals at
@@ -44,14 +42,10 @@ def analyze(state, conflict, strategy=2):
     later step adds is below it or earlier on the trail), so ``lits`` only
     grows and the literals of resolved variables are dropped at the end;
     what remains is in the order of repeated binary resolution: the
-    resolvent's literals first, then the reason's new ones.
+    resolvent's literals first, then the reason's new ones.  An asserting
+    conflict comes back as an unchanged copy of ``lits``, with no steps.
     """
-    if isinstance(conflict, Clause):
-        lits = list(conflict.lits)
-        source = conflict
-    else:
-        lits = list(conflict)
-        source = None
+    lits = list(lits)
     level = state.level
     val = state.val
     trail = state.trail
@@ -101,14 +95,12 @@ def analyze(state, conflict, strategy=2):
             i = len(trail)
     if steps:
         lits = [x for x in lits if seen[x >> 1]]
-        source = None
     pivot = t ^ 1
     return LearnedClause(
         lits=lits,
         level=dlev,
         second_level=state.residual_level(lits, pivot),
         asserting=pivot,
-        source=source,
         steps=steps,
     )
 
@@ -186,6 +178,5 @@ def minimize(state, learned):
         level=learned.level,
         second_level=state.residual_level(kept, learned.asserting),
         asserting=learned.asserting,
-        source=None,
         steps=learned.steps,
     )

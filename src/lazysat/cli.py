@@ -255,7 +255,8 @@ def cmd_bench(args):
 
 def main(argv=None):
     """Run one command; the only place that turns an OSError or ValueError
-    (bad input or output) into ``error: ...`` and exit code 1."""
+    (bad input or output), or a MemoryError, into ``error: ...`` and exit
+    code 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -266,6 +267,9 @@ def main(argv=None):
         return commands[args.command](args)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -15,7 +15,7 @@ from heapq import heappop
 from . import checker
 from .analyze import analyze as run_analysis
 from .analyze import minimize as minimize_clause
-from .formula import Clause, Formula, lit_to_int
+from .formula import Formula, lit_to_int
 from .propagate import Propagator
 from .state import FALSE, TRUE, UNDEF, TrailState
 from .state import backtrack as run_backtrack
@@ -171,19 +171,19 @@ class Solver:
 
     # -- learned clause installation ----------------------------------------
 
-    def install_learned(self, learned):
+    def install_learned(self, learned, stored):
         """Store the learned clause, watch it, and enqueue its asserting literal.
 
-        A clause identical to the conflicting one is not re-added; its
-        watches are repointed at the asserting and a second-level literal
-        so that the watch pair keeps exposing the clause level.
+        ``stored``, the stored clause with these literals or None, is not
+        re-added; its watches are repointed at the asserting and a
+        second-level literal, so that the watch pair shows the clause level.
         """
         st = self.state
         lit = learned.asserting
         assert st.val[lit] == UNDEF, "asserting literal must be unassigned after backtracking"
-        if learned.source is not None:
+        if stored is not None:
             # a conflict from BCP, so a watched clause of at least two literals
-            clause = learned.source
+            clause = stored
             self.prop.rewatch(clause, lit, self._second_watch_lit(learned))
         else:
             clause = self.formula.store(learned.lits, learned=True)
@@ -270,24 +270,30 @@ class Solver:
         st = self.state
         stats = self.stats
         trace = st.trace
+        # the stored clause whose literals are under analysis, until a resolution
+        # step (its pivot never comes back) or minimization changes them
+        stored = conflict
+        lits = conflict.lits
         while True:
             stats.conflicts += 1
             if trace is not None:
                 trace(
                     {
                         "kind": "conflict",
-                        # None for a re-falsified learned clause (a literal list)
-                        "clause": conflict.index if isinstance(conflict, Clause) else None,
+                        # None for a re-falsified learned clause not yet stored
+                        "clause": stored.index if stored is not None else None,
                         "level": len(st.decisions),
                     }
                 )
-            learned = run_analysis(st, conflict, cfg.analyze)
+            learned = run_analysis(st, lits, cfg.analyze)
             if trace is not None:
                 for pivot, kind in learned.steps:
                     trace({"kind": "resolve", "pivot": lit_to_int(pivot), "reason": kind})
             pre = learned
             if cfg.minimize:
                 learned = minimize_clause(st, learned)
+            if learned.lits != lits:
+                stored = None
             if self.on_learn is not None:
                 self.on_learn(self, pre, learned)
             self._bump_clause(learned.lits)
@@ -309,9 +315,9 @@ class Solver:
                 assert cfg.mode == "lscb" and cfg.analyze == 1, (
                     "re-falsified learned clause outside lazy mode with strategy 1"
                 )
-                conflict = learned.lits
+                lits = learned.lits
                 continue
-            self.install_learned(learned)
+            self.install_learned(learned, stored)
             self._checkpoint()
             return True
 

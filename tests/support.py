@@ -23,6 +23,21 @@ def lit_from_int(n):
     return (v << 1) | (n < 0)
 
 
+def solve_record(formula, cfg):
+    """Solve a copy of the formula and return what the search fixes: the
+    verdict, model, Stats, violations and learned clauses."""
+    s = Solver(formula.copy(), cfg)
+    verdict = s.solve()
+    model = verdict.model or {}
+    return {
+        "sat": verdict.sat,
+        "model": [model[v] for v in sorted(model)],
+        "stats": s.stats.as_dict(),
+        "violations": sorted(s.violations.items()),
+        "learned": [c.lits for c in s.formula.clauses if c.learned],
+    }
+
+
 def truth_table_sat(formula):
     """Exhaustive enumeration, for cross-checking the DPLL oracle on tiny inputs."""
     n = formula.num_vars
@@ -146,10 +161,11 @@ class Rig:
         backtrack(self.state, d, self.mode, self.stats)
 
     def analyze(self, conflict, strategy=2):
-        return run_analysis(self.state, conflict, strategy)
+        """Analyse a conflict clause from ``bcp`` by its literals."""
+        return run_analysis(self.state, conflict.lits, strategy)
 
-    def install(self, learned):
-        return self.solver.install_learned(learned)
+    def install(self, learned, stored=None):
+        return self.solver.install_learned(learned, stored)
 
     def snapshot(self):
         st = self.state

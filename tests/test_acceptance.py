@@ -6,6 +6,7 @@ numbers behind each verdict.
 """
 
 import hashlib
+import itertools
 import json
 import statistics
 
@@ -15,7 +16,7 @@ from lazysat.cli import render_bench_csv
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import FALSE
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
-from support import LockstepRunner, entails, s1_replay, s2_replay
+from support import LockstepRunner, entails, s1_replay, s2_replay, solve_record
 
 # Sizes span the 20-60 variable band at the SATLIB clause ratio.
 ORACLE_SIZES = ((20, 600), (30, 500), (40, 400), (50, 300), (60, 200))
@@ -48,9 +49,14 @@ def _report(name, ok, detail=""):
 
 
 def test_oracle_agreement():
-    """All four modes x both strategies agree with the brute-force oracle."""
+    """All four modes agree with the brute-force oracle: lscb under both
+    strategies, the other modes under strategy 2.  Outside lscb no MLI is
+    stored, so strategy 1 would solve identically
+    (test_analysis_strategy_is_inert_outside_lscb); each of those solves
+    asserts that it stored none."""
     disagreements = 0
     model_failures = 0
+    stored_mlis = 0
     checked = 0
     for n, count in ORACLE_SIZES:
         m = satlib_clause_count(n)
@@ -58,10 +64,13 @@ def test_oracle_agreement():
             f = random_3sat(n, m, 10_000 + i)
             expect = brute_force(f)
             for mode in MODES:
-                for strategy in (1, 2):
+                for strategy in (1, 2) if mode == "lscb" else (2,):
                     cfg = SolverConfig(mode=mode, analyze=strategy, cb_threshold=1)
-                    verdict = Solver(f.copy(), cfg).solve()
+                    s = Solver(f.copy(), cfg)
+                    verdict = s.solve()
                     checked += 1
+                    if mode != "lscb":
+                        stored_mlis += s.stats.mli_detected
                     if verdict.sat != expect:
                         disagreements += 1
                     if verdict.sat:
@@ -71,7 +80,7 @@ def test_oracle_agreement():
                             ):
                                 model_failures += 1
                                 break
-    ok = disagreements == 0 and model_failures == 0
+    ok = disagreements == 0 and model_failures == 0 and stored_mlis == 0
     _report(
         "oracle agreement",
         ok,
@@ -80,6 +89,35 @@ def test_oracle_agreement():
     )
     assert disagreements == 0
     assert model_failures == 0
+    assert stored_mlis == 0
+
+
+def test_analysis_strategy_is_inert_outside_lscb():
+    """Only lscb stores MLIs, and the strategy only changes how stored MLIs
+    are read, so ncb, wcb and rscb solve identically under both strategies,
+    under every flag combination."""
+    grid = itertools.product(
+        ("ncb", "wcb", "rscb"), (False, True), (False, True), ("off", "coarse"), (1, 100)
+    )
+    differing = []
+    solves = 0
+    for k, (mode, minimize, blockers, check, threshold) in enumerate(grid):
+        flags = dict(mode=mode, minimize=minimize, blockers=blockers, check_level=check)
+        for f in (random_3sat(20, 91, k % 40), random_3sat(40, 170, k % 20)):
+            one, two = (
+                solve_record(f, SolverConfig(analyze=strategy, cb_threshold=threshold, **flags))
+                for strategy in (1, 2)
+            )
+            solves += 2
+            assert one["stats"]["mli_detected"] == 0
+            if one != two:
+                differing.append((k, f.num_vars))
+    _report(
+        "strategy inert outside lscb",
+        not differing,
+        " (%d solves, differing: %s)" % (solves, differing[:4] or "none"),
+    )
+    assert differing == []
 
 
 def test_invariant_matrix():
@@ -148,7 +186,7 @@ def test_fixture_replays_bit_exact():
     from lazysat.analyze import analyze
     from lazysat.formula import lit_to_int
 
-    learned = analyze(s2["rig"].state, s2["conflict"], 2)
+    learned = analyze(s2["rig"].state, s2["conflict"].lits, 2)
     chain = [(lit_to_int(p), k) for p, k in learned.steps]
     ok &= [lit_to_int(x) for x in learned.lits] == [2]
     ok &= chain == [
@@ -382,18 +420,7 @@ def test_search_digest():
             formula = random_3sat(n, m, seed)
             for options in SEARCH_CONFIGS:
                 for mode in MODES:
-                    s = Solver(formula.copy(), SolverConfig(mode=mode, **options))
-                    verdict = s.solve()
-                    model = verdict.model or {}
-                    records.append(
-                        {
-                            "sat": verdict.sat,
-                            "model": [model[v] for v in sorted(model)],
-                            "stats": s.stats.as_dict(),
-                            "violations": sorted(s.violations.items()),
-                            "learned": [c.lits for c in s.formula.clauses if c.learned],
-                        }
-                    )
+                    records.append(solve_record(formula, SolverConfig(mode=mode, **options)))
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     detail = " (%d solves, sha256 %s)" % (len(records), digest)
     _report("search digest", digest == SEARCH_SHA256, detail)

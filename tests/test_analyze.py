@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from lazysat.analyze import LearnedClause, analyze, minimize
-from lazysat.formula import Clause, Formula, lit_to_int
+from lazysat.formula import Formula, lit_to_int
 from lazysat.solver import MODES, Solver, SolverConfig
 from lazysat.state import FALSE, TrailState, backtrack
 from lazysat.testkit import random_3sat
@@ -67,7 +67,7 @@ def test_resolve_matches_set_oracle():
 def test_analyze_s2_lazy_chain():
     out = s2_replay()
     rig = out["rig"]
-    learned = analyze(rig.state, out["conflict"], 2)
+    learned = analyze(rig.state, out["conflict"].lits, 2)
     assert ints(learned.lits) == [2]
     assert learned.level == 1
     assert learned.second_level == 0
@@ -80,19 +80,21 @@ def test_analyze_s2_lazy_chain():
     ]
 
 
-def test_analyze_immediate_stop_returns_source():
+def test_analyze_asserting_conflict_returns_its_literals():
     # a conflict with a single top-level literal and no stored MLI comes back
-    # unchanged, as the same clause reference
+    # with no steps and its literals unchanged, in a new list
     f = Formula(3)
-    c_unit_src = f.add_clause([-1, -2])
+    conflict = f.add_clause([-1, -2])
     r1 = f.add_clause([2, -3])
     st = TrailState(3, checked=True)
     st.enqueue_decision(lit(1))
     st.enqueue_decision(lit(3))
     st.enqueue_implied(lit(2), r1, 2)
-    learned = analyze(st, c_unit_src, 2)
-    assert learned.source is c_unit_src
+    before = list(conflict.lits)
+    learned = analyze(st, conflict.lits, 2)
     assert learned.steps == []
+    assert learned.lits == conflict.lits == before
+    assert learned.lits is not conflict.lits
     assert ints(learned.lits) == [-1, -2]
     assert learned.asserting == lit(-2)
     assert learned.level == 2 and learned.second_level == 1
@@ -111,13 +113,13 @@ def test_analyze_asserts_resolvent_stays_falsified():
         st.head = len(st.trail)
         st.checked = True
         with pytest.raises(AssertionError, match="^resolvent must stay falsified$"):
-            analyze(st, conflict, strategy)
+            analyze(st, conflict.lits, strategy)
 
 
 def test_analyze1_reconflict_loop_matches_analyze2():
     out = s2_replay()
     rig = out["rig"]
-    first = analyze(rig.state, out["conflict"], 1)
+    first = analyze(rig.state, out["conflict"].lits, 1)
     assert set(ints(first.lits)) == {3, 6, -4}
     backtrack(rig.state, 1, "lscb", rig.stats)
     assert all(rig.state.val[x] == FALSE for x in first.lits)  # conflicting again
@@ -204,14 +206,14 @@ def test_minimized_clauses_stay_falsified_and_entailed():
 
 
 def capture_analyses(monkeypatch, check):
-    """Route the solver's analysis calls through check(state, conflict, strategy, learned)."""
+    """Route the solver's analysis calls through check(state, lits, strategy, learned)."""
     import lazysat.solver as solver_mod
 
     real = solver_mod.run_analysis
 
-    def wrapped(state, conflict, strategy=2):
-        learned = real(state, conflict, strategy)
-        check(state, conflict, strategy, learned)
+    def wrapped(state, lits, strategy=2):
+        learned = real(state, lits, strategy)
+        check(state, lits, strategy, learned)
         return learned
 
     monkeypatch.setattr(solver_mod, "run_analysis", wrapped)
@@ -224,7 +226,7 @@ def test_pivot_selection_matches_trail_scan(monkeypatch):
     checked = [0]
 
     def check(st, conflict, strategy, learned):
-        d_lits = list(conflict.lits if isinstance(conflict, Clause) else conflict)
+        d_lits = list(conflict)
         for pivot, kind in learned.steps:
             dset = set(d_lits)
             dlev = max(st.level[x >> 1] for x in d_lits)
@@ -249,12 +251,7 @@ def test_pivot_selection_matches_trail_scan(monkeypatch):
 def reference_analyze(state, conflict, strategy=2):
     """First-UIP analysis as repeated binary resolution: a new resolvent per
     step, its pivot the latest trail literal at the resolvent's top level."""
-    if isinstance(conflict, Clause):
-        d_lits = list(conflict.lits)
-        source = conflict
-    else:
-        d_lits = list(conflict)
-        source = None
+    d_lits = list(conflict)
     level = state.level
     pos = trail_positions(state)
     steps = []
@@ -278,7 +275,6 @@ def reference_analyze(state, conflict, strategy=2):
                 level=dlev,
                 second_level=state.residual_level(d_lits, pivot),
                 asserting=pivot,
-                source=source if not steps else None,
                 steps=steps,
             )
         if lazy is not None:
@@ -301,12 +297,10 @@ def test_analyze_matches_reference_resolution(monkeypatch):
         assert learned.lits == want.lits
         assert (learned.level, learned.second_level) == (want.level, want.second_level)
         assert learned.asserting == want.asserting
-        assert learned.source is want.source
         assert learned.steps == want.steps
         seen["analyses"] += 1
         seen["lazy_steps"] += sum(1 for _, kind in want.steps if kind == "lazy")
-        lits = conflict.lits if isinstance(conflict, Clause) else conflict
-        if want.level < max(st.level[x >> 1] for x in lits):
+        if want.level < max(st.level[x >> 1] for x in conflict):
             seen["level_drops"] += 1
 
     capture_analyses(monkeypatch, check)

@@ -255,6 +255,29 @@ def test_bench_dir_malformed_file_is_input_error(tmp_path, capsys):
     assert captured.err == "error: a.cnf: line 2: non-integer token 'x'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["solve", "{cnf}"], "parse_dimacs"),
+        (["solve", "{cnf}"], "Solver"),
+        (["bench", "--dir", "{dir}"], "parse_dimacs"),
+        (["bench", "--gen", "10", "43", "2", "0"], "Solver"),
+    ],
+    ids=["solve-parse", "solve-solver", "bench-parse", "bench-solver"],
+)
+def test_out_of_memory_is_an_error_not_a_traceback(argv, target, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("lazysat.cli." + target, exhausted)
+    cnf = write_cnf(tmp_path / "s1.cnf", s1_formula())
+    argv = [a.format(cnf=cnf, dir=tmp_path) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_bench_rejects_unknown_mode(capsys):
     assert main(["bench", "--gen", "10", "43", "1", "0", "--modes", "fast"]) == 1
     capsys.readouterr()

@@ -13,7 +13,7 @@ from lazysat.solver import SolverConfig as cfg
 from lazysat.state import UNDEF, backtrack
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
 from support import lit_from_int as lit
-from support import replay_trace, s1_formula, violations
+from support import replay_trace, s1_formula, solve_record, violations
 
 
 def test_empty_formula_is_sat():
@@ -71,6 +71,37 @@ def test_choose_backtrack_level_threshold_one_is_pure_chronological():
     assert got == 2
     got = choose_backtrack_level(_learned(2, 1), cfg(mode="lscb", cb_threshold=1))
     assert got == 1
+
+
+def test_modes_agree_without_chronological_backtracks(monkeypatch):
+    # When choose_backtrack_level never leaves second_level, the four modes
+    # backjump alike, so they search alike: same verdict, model, Stats,
+    # violations and learned clauses.  T=1 is the control where they do not.
+    chronological = [0]
+
+    def counted(learned, config):
+        d = choose_backtrack_level(learned, config)
+        chronological[0] += d != learned.second_level
+        return d
+
+    monkeypatch.setattr(solver_mod, "choose_backtrack_level", counted)
+    extras = ({}, {"analyze": 1, "minimize": True, "blockers": True})
+    control = 0
+    for n, m, seed in [(30, 128, s) for s in range(5)] + [(50, 218, 0)]:
+        f = random_3sat(n, m, seed)
+        for threshold, flags in itertools.product((8, 10**9), extras):
+            chronological[0] = 0
+            records = [
+                solve_record(f, cfg(mode, cb_threshold=threshold, check_level="coarse", **flags))
+                for mode in solver_mod.MODES
+            ]
+            assert chronological[0] == 0, (n, seed, threshold, flags)
+            assert all(r == records[0] for r in records), (n, seed, threshold, flags)
+        chronological[0] = 0
+        for mode in solver_mod.MODES:
+            solve_record(f, cfg(mode, cb_threshold=1, check_level="coarse"))
+        control += chronological[0]
+    assert control > 0
 
 
 def test_decide_fresh_solver_lowest_index_negative():
@@ -302,6 +333,60 @@ def test_install_learned_binary_watches_both():
     assert sorted(clause.to_ints()) == [-3, -1]
     watched = {clause.w0, clause.w1}
     assert watched == set(clause.lits)
+
+
+def test_asserting_conflict_is_rewatched_not_copied():
+    # C = {-4, -1, -2} is falsified with only -2 at the top level, so its
+    # analysis makes no step; the episode re-watches C on the asserting -2
+    # and the second-level -4 instead of storing a copy of it
+    from support import Rig
+
+    f = Formula(4)
+    conflict = f.add_clause([-4, -1, -2])
+    r4 = f.add_clause([4, -1])
+    r2 = f.add_clause([2, -3])
+    rig = Rig(f, mode="lscb")
+    events = []
+    rig.state.trace = events.append
+    rig.decide(1)
+    rig.imply(4, r4, 1)
+    rig.decide(3)
+    rig.imply(2, r2, 2)
+    assert (conflict.w0, conflict.w1) == (lit(-4), lit(-1))
+    assert rig.solver._handle_conflict(conflict)
+    assert len(f.clauses) == 3 and rig.stats.learned == 0
+    assert (conflict.w0, conflict.w1) == (lit(-2), lit(-4))
+    assert conflict in rig.prop.wl[lit(-2)] and conflict in rig.prop.wl[lit(-4)]
+    assert conflict not in rig.prop.wl[lit(-1)]
+    assert rig.state.reason[2] is conflict and rig.state.level[2] == 1
+    assert [e["clause"] for e in events if e["kind"] in ("conflict", "learn")] == [0, 0]
+
+
+def test_refalsified_stored_conflict_is_not_stored_twice():
+    # Under lscb with the classical stop, lazy reimplication can falsify an
+    # asserting conflict clause again after backtracking.  Its second
+    # analysis also makes no step, and the clause must be re-watched, not
+    # stored a second time.
+    instances = [(30, 128, s) for s in (207, 398, 418, 854, 1070, 1356)] + [(50, 218, 4)]
+    named = 0  # re-analyses, within one episode, of a conflict that is a stored clause
+    for (n, m, seed), minimize in itertools.product(instances, (False, True)):
+        events = []
+        config = cfg(mode="lscb", analyze=1, cb_threshold=1, minimize=minimize)
+        s = Solver(random_3sat(n, m, seed), config, trace=events.append)
+        s.solve()
+        stored = set()
+        for c in s.formula.clauses:
+            key = frozenset(c.lits)
+            assert not (c.learned and key in stored), (n, seed, minimize, c)
+            stored.add(key)
+        in_episode = False
+        for e in events:
+            if e["kind"] == "conflict":
+                named += in_episode and e["clause"] is not None
+                in_episode = True
+            elif e["kind"] == "learn":
+                in_episode = False
+    assert named > 0
 
 
 def test_install_unit_learned_asserts_at_level_zero():
