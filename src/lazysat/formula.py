@@ -9,6 +9,9 @@ encoded.
 
 from __future__ import annotations
 
+import re
+from itertools import chain
+
 
 def lit_to_int(lit: int) -> int:
     """Decode an encoded literal back to a signed integer."""
@@ -56,6 +59,17 @@ class DimacsError(ValueError):
         self.line = line
 
 
+def _normalize(lits):
+    """A clause's encoded literals with repeats dropped, first occurrence
+    kept, or None when two of them are complementary (a tautology)."""
+    out = list(dict.fromkeys(lits))
+    seen = set(out)
+    for lit in out:
+        if lit ^ 1 in seen:
+            return None
+    return out
+
+
 class Formula:
     """A conjunctive clause set with stable clause references.
 
@@ -73,24 +87,19 @@ class Formula:
         """Store a clause given as signed integers and return its reference.
 
         Every literal must name a variable in 1..num_vars, or ValueError is
-        raised, even in a clause that is dropped.  Duplicate literals
-        collapse; a clause containing a complementary pair is a tautology
-        and is never stored (returns None).  An empty clause marks the
-        formula trivially unsatisfiable and also returns None.
+        raised, even in a clause that is dropped.  The literals then go
+        through ``_normalize``: a clause with a complementary pair is never
+        stored (returns None).  An empty clause marks the formula trivially
+        unsatisfiable and also returns None.
         """
-        seen = set()
         lits = []
-        tautology = False
         for n in ints:
             v = -n if n < 0 else n
             if v == 0 or v > self.num_vars:
                 raise ValueError("variable %d out of range 1..%d" % (v, self.num_vars))
-            lit = (v << 1) | (n < 0)
-            if lit not in seen:
-                tautology = tautology or lit ^ 1 in seen
-                seen.add(lit)
-                lits.append(lit)
-        if tautology:
+            lits.append((v << 1) | (n < 0))
+        lits = _normalize(lits)
+        if lits is None:
             return None
         if not lits:
             self.trivially_unsat = True
@@ -127,26 +136,84 @@ def _decimal(tok):
     raise ValueError(tok)
 
 
+# A line whose first token starts with 'c', 'p' or '%', found by the newline
+# before it; the first line of a text is matched on its own by _FIRST_LINE.
+# One pattern for both, '(?:^|\n)...', has no literal first character to
+# search for and scans a 61 KB text about 7 times slower.
+_SPECIAL_LINE = re.compile(r"\n[^\S\n]*([cp%])")
+_FIRST_LINE = re.compile(r"[^\S\n]*([cp%])")
+_CHUNK = 4096  # characters of a run split at once, rounded up to a whole line
+
+
+def _header_vars(line, to_int):
+    """The variable count of a 'p cnf VARS CLAUSES' line, or None when the
+    line is malformed or either count is negative."""
+    head = line.split()
+    if len(head) != 4 or head[0] != "p" or head[1] != "cnf":
+        return None
+    try:
+        nv = to_int(head[2])
+        nc = to_int(head[3])
+    except ValueError:
+        return None
+    return nv if nv >= 0 and nc >= 0 else None
+
+
+def _line_at(text, offset):
+    return text.count("\n", 0, offset) + 1
+
+
+def _token_line(text, start, stop, index):
+    """Line of the index-th token of the chunk text[start:stop]."""
+    line = _line_at(text, start)
+    for k, piece in enumerate(text[start:stop].split("\n")):
+        n = len(piece.split())
+        if index < n:
+            return line + k
+        index -= n
+    raise AssertionError("token index beyond its chunk")
+
+
+def _last_data_line(text, stop):
+    """Last line before offset stop that is neither blank nor a comment."""
+    lines = text[:stop].split("\n")
+    return max(k for k, line in enumerate(lines, 1) if line.lstrip()[:1] not in ("", "c"))
+
+
 def parse_dimacs(text: str) -> Formula:
-    """Parse DIMACS CNF text into a normalized Formula, one pass per clause.
+    """Parse DIMACS CNF text into a normalized Formula.
 
     Lines end at a newline only; other whitespace, carriage returns
     included, separates tokens.  Comment lines start with 'c'; a line
     starting with '%' ends the input (SATLIB trailer convention).  Header
     counts and literals are ASCII decimal integers with an optional sign,
     and each clause, which may span lines, ends at 0.  Every literal is
-    range-checked and encoded as it is read; repeats collapse, a clause
-    with a complementary pair is dropped, and an empty clause marks the
-    formula trivially unsatisfiable, as ``Formula.add_clause`` does.  The
-    header's clause count is not enforced.
+    range-checked as it is read; repeats collapse, a clause with a
+    complementary pair is dropped, and an empty clause marks the formula
+    trivially unsatisfiable, as ``Formula.add_clause`` does.  The header's
+    clause count is not enforced.
 
-    Each distinct token spelling is converted and checked once per call: a
-    table maps each spelling that has passed to its encoded literal (0 for
-    a terminator), so ``3``, ``+3`` and ``03`` each take one entry and
-    decode alike.  The table is fresh per call and grows with the distinct
-    tokens of the text, never with the declared variable count.  A token
-    enters it only after its checks pass, so a bad token fails on its own
-    line with the same message as without the table.
+    Compiled patterns find the header, comment and '%' lines; the data
+    lines between two of them form a run, so a text without comments is
+    one run.  A run is split into tokens a chunk at a time, whole lines of
+    at least ``_CHUNK`` characters unless the run ends first, and each
+    chunk is decoded in one flat loop; only one chunk's tokens are held at
+    once.  Each distinct token spelling is converted and checked once per
+    call: a table maps each spelling that has passed to its encoded literal
+    (0 for a terminator), so ``3``, ``+3`` and ``03`` each take one entry
+    and decode alike.  The table is fresh per call and grows with the
+    distinct tokens of the text, never with the declared variable count.
+
+    At a clause's 0, a clause of three literals compares its variables
+    pairwise; any other length, or a three-literal clause with a repeated
+    variable, goes through ``_normalize``, which ``add_clause`` shares.
+
+    Line numbers are derived only when raising.  A token enters the table
+    only after its checks pass, so a failing token is at its spelling's
+    first place in its chunk, and is reported at that line.  Data before
+    the header is reported at its chunk's first non-blank line, and a
+    missing terminating 0 at the last line that is neither blank nor a
+    comment.
     """
     # int() also reads '1_2' and non-ASCII digits such as '\uff13'.  Text that
     # passes this screen holds neither; in other text each token is checked.
@@ -156,68 +223,73 @@ def parse_dimacs(text: str) -> Formula:
     codes = {}  # token spelling -> encoded literal (0 = terminator), once checked
     code = codes.get
     lits = []
-    seen = set()
-    tautology = False
-    last_line = 0
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        toks = raw.split()
-        if not toks:
-            continue
-        first = toks[0][0]
-        if first == "c":
-            continue
-        if first == "%":
-            break
-        last_line = lineno
-        if first == "p":
-            if formula is not None:
-                raise DimacsError("duplicate 'p cnf' header", lineno)
-            if len(toks) != 4 or toks[0] != "p" or toks[1] != "cnf":
-                raise DimacsError("malformed header %r" % raw.strip(), lineno)
-            try:
-                nv = to_int(toks[2])
-                nc = to_int(toks[3])
-            except ValueError:
-                raise DimacsError("malformed header %r" % raw.strip(), lineno) from None
-            if nv < 0 or nc < 0:
-                raise DimacsError("malformed header %r" % raw.strip(), lineno)
-            formula = Formula(nv)
-            clauses = formula.clauses
-            top = 2 * nv + 1
-            continue
-        if formula is None:
-            raise DimacsError("clause data before 'p cnf' header", lineno)
-        for tok in toks:
-            lit = code(tok)
-            if lit is None:
-                try:
-                    n = to_int(tok)
-                except ValueError:
-                    raise DimacsError("non-integer token %r" % tok, lineno) from None
-                lit = (n + n if n > 0 else 1 - n - n) if n else 0
-                if lit > top:
-                    raise DimacsError("literal %d exceeds declared %d variables" % (n, nv), lineno)
-                codes[tok] = lit
-            if lit:
-                if lit in seen:
+    first = _FIRST_LINE.match(text)
+    end = len(text)  # where the input stops: its end or a '%' line
+    pos = 0  # start of the current run
+    for m in chain((first,) if first else (), _SPECIAL_LINE.finditer(text), (None,)):
+        stop = m.start() if m else end
+        while pos < stop:
+            # whole lines, cut at the first newline _CHUNK characters on
+            cut = text.find("\n", pos + _CHUNK, stop)
+            if cut < 0:
+                cut = stop
+            toks = text[pos:cut].split()
+            if toks and formula is None:
+                raise DimacsError("clause data before 'p cnf' header", _token_line(text, pos, cut, 0))
+            for tok in toks:
+                lit = code(tok)
+                if lit is None:
+                    try:
+                        n = to_int(tok)
+                    except ValueError:
+                        line = _token_line(text, pos, cut, toks.index(tok))
+                        raise DimacsError("non-integer token %r" % tok, line) from None
+                    lit = (n + n if n > 0 else 1 - n - n) if n else 0
+                    if lit > top:
+                        line = _token_line(text, pos, cut, toks.index(tok))
+                        raise DimacsError("literal %d exceeds declared %d variables" % (n, nv), line)
+                    codes[tok] = lit
+                if lit:
+                    lits.append(lit)
                     continue
-                if lit ^ 1 in seen:
-                    tautology = True
-                seen.add(lit)
-                lits.append(lit)
-            else:
-                if tautology:
-                    tautology = False
-                elif lits:
-                    clauses.append(Clause(lits, False, len(clauses)))
+                if len(lits) == 3:
+                    a, b, c = lits
+                    if (a ^ b) < 2 or (a ^ c) < 2 or (b ^ c) < 2:
+                        lits = _normalize(lits)
                 else:
+                    lits = _normalize(lits)
+                if lits:
+                    clauses.append(Clause(lits, False, len(clauses)))
+                elif lits is not None:
                     formula.trivially_unsat = True
                 lits = []
-                seen = set()
+            pos = cut
+        if m is None:
+            break
+        kind = m.group(1)
+        if kind == "%":
+            end = stop
+            break
+        pos = text.find("\n", m.end())
+        if pos < 0:
+            pos = end
+        if kind == "c":
+            continue
+        if formula is not None:
+            raise DimacsError("duplicate 'p cnf' header", _line_at(text, m.start(1)))
+        raw = text[m.start(1) : pos]
+        nv = _header_vars(raw, to_int)
+        if nv is None:
+            raise DimacsError("malformed header %r" % raw.strip(), _line_at(text, m.start(1)))
+        formula = Formula(nv)
+        clauses = formula.clauses
+        top = 2 * nv + 1
     if formula is None:
-        raise DimacsError("missing 'p cnf' header", max(last_line, 1))
+        # every line before the end was blank or a comment, or it would have
+        # been a header or raised as clause data before one
+        raise DimacsError("missing 'p cnf' header", 1)
     if lits:
-        raise DimacsError("missing terminating 0", last_line)
+        raise DimacsError("missing terminating 0", _last_data_line(text, end))
     return formula
 
 

@@ -46,24 +46,29 @@ class Propagator:
     # -- watch bookkeeping -------------------------------------------------
 
     def watch(self, clauses):
-        """Append each clause, in order, to the lists of its two watched
-        literals; with blockers, the blocker starts at ``w1``.  Unit clauses
-        are never watched, so every clause here has at least two literals."""
+        """Append each clause of two or more literals, in order, to the lists
+        of its two watched literals, and return the unit clauses, which are
+        never watched (both slots hold their literal); with blockers, the
+        blocker starts at ``w1``."""
         wl = self.wl
         blockers = self.blockers
+        units = []
         for clause in clauses:
-            wl[clause.w0].append(clause)
-            wl[clause.w1].append(clause)
+            w0 = clause.w0
+            w1 = clause.w1
+            if w0 == w1:
+                units.append(clause)
+                continue
+            wl[w0].append(clause)
+            wl[w1].append(clause)
             if blockers:
-                clause.blocker = clause.w1
+                clause.blocker = w1
+        return units
 
     def init_watches(self):
         """Watch the stored clauses, in clause order, and return the unit
         clauses, which are never watched."""
-        clauses = self.formula.clauses
-        units = [clause for clause in clauses if len(clause.lits) < 2]
-        self.watch([clause for clause in clauses if len(clause.lits) >= 2] if units else clauses)
-        return units
+        return self.watch(self.formula.clauses)
 
     def rewatch(self, clause, lit0, lit1):
         """Point the clause's watches at two specific literals, fixing the lists.

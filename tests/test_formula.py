@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+import lazysat.formula as formula_module
 from lazysat.formula import (
     DimacsError,
     Formula,
@@ -10,6 +11,7 @@ from lazysat.formula import (
     parse_dimacs,
     write_dimacs,
 )
+from lazysat.testkit import random_3sat
 from support import lit_from_int, reference_parse_dimacs
 
 
@@ -264,10 +266,18 @@ def test_parse_keeps_no_token_table_between_calls():
             "line 6: literal -4 exceeds declared 3 variables",
         ),
         ("p cnf 3 3\n1 -2 3 0\n1 -2\n3 0 03 1.0 0\n", "line 4: non-integer token '1.0'"),
+        # first seen in a run after a comment line, inside a clause that spans lines
+        ("p cnf 3 2\n1 2 0\nc note\n\n3 -1\n2 x 0\n", "line 6: non-integer token 'x'"),
+        ("p cnf 3 2\n1 2\nc note\n-1\n\n 3 -4 0\n", "line 6: literal -4 exceeds declared 3 variables"),
+        ("p cnf 3 2\nc a\n1 2 0\n3\nc b\n\n1 q\n0\n", "line 7: non-integer token 'q'"),
+        ("p cnf 3 2\n1 2\n c note\n3\n-1 2 0 4 0\n", "line 5: literal 4 exceeds declared 3 variables"),
+        ("p cnf 3 1\n1 2 0\n-3\nc x\n\n%\n0\n", "line 3: missing terminating 0"),
+        ("p cnf 3 1\n1 2 0\n-3 c\n\t% end\n0\n", "line 3: non-integer token 'c'"),
     ],
 )
 def test_parse_bad_token_after_good_ones_keeps_its_line(text, message):
-    # the good tokens before it are in the token table by then
+    # the good tokens before it are in the token table by then, and its
+    # line is derived from the run of data lines that holds it
     for parse in (parse_dimacs, reference_parse_dimacs):
         with pytest.raises(DimacsError) as exc:
             parse(text)
@@ -287,6 +297,39 @@ def test_parse_long_clause_with_repeats():
     f = parse_dimacs("p cnf %d 1\n%s %d 0\n" % (nv, "\n".join(lines), -ints[-1]))
     assert f.clauses == []
     assert not f.trivially_unsat
+
+
+def wide_clause_text(num_vars, num_clauses, width, seed):
+    """DIMACS text of random clauses of ``width`` distinct variables."""
+    rng = random.Random(seed)
+    lines = ["p cnf %d %d" % (num_vars, num_clauses)]
+    for _ in range(num_clauses):
+        vs = rng.sample(range(1, num_vars + 1), width)
+        lines.append(" ".join(str(v if rng.random() < 0.5 else -v) for v in vs) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make_text, num_clauses",
+    [
+        (lambda: write_dimacs(random_3sat(1500, 3750, 0)), 3750),
+        (lambda: wide_clause_text(1500, 2000, 40, 0), 2000),
+    ],
+    ids=["3-literal", "40-literal"],
+)
+def test_parse_peak_memory_stays_below_twice_the_formula(make_text, num_clauses):
+    # a text without comments is one run, split a chunk of lines at a time;
+    # splitting a whole run at once peaked at 1.8x (3-literal) and 5.6x
+    # (40-literal), and per chunk at about 1.3x for both, measured
+    text = make_text()
+    tracemalloc.start()
+    try:
+        f = parse_dimacs(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f.clauses) == num_clauses
+    assert peak < 2 * retained
 
 
 # -- differential check against the reference reader ---------------------------
@@ -389,6 +432,17 @@ def parse_outcome(parse, text):
         return (type(exc).__name__, str(exc), getattr(exc, "line", None))
 
 
+@pytest.mark.parametrize(
+    "clause",
+    ["1 1 2", "1 2 1", "2 1 1", "1 -1 2", "1 2 -1", "2 1 -1", "1 1", "1 -1", "3 1 -2 1", "3 1 -2 -3"],
+)
+def test_parse_short_clause_check_matches_reference(clause):
+    # every place a repeated or complementary pair can sit in a clause of
+    # two or three literals, and a longer clause with each kind of pair
+    text = "p cnf 3 3\n2 -3 0\n%s 0\n-1 -2 3 0\n" % clause
+    assert parse_outcome(parse_dimacs, text) == parse_outcome(reference_parse_dimacs, text)
+
+
 def test_parse_matches_reference_reader_on_fuzz_corpus():
     rng = random.Random(47)
     messages = set()
@@ -422,3 +476,48 @@ def test_parse_matches_reference_reader_on_fuzz_corpus():
         "non-integer token",
         "literal",
     }
+
+
+def padded_fuzz_dimacs(rng):
+    """``fuzz_dimacs``'s text with some comment, header and '%' lines
+    indented by blanks and tabs, which the generator never does."""
+    text, nv, stated, spans = fuzz_dimacs(rng)
+    lines = text.split("\n")
+    padded = 0
+    for k, line in enumerate(lines):
+        toks = line.split()
+        if toks and toks[0][0] in "cp%" and rng.random() < 0.6:
+            lines[k] = rng.choice((" ", "\t", "  ", " \t ", "\t\t")) + line
+            padded += 1
+    return "\n".join(lines), nv, stated, padded
+
+
+def test_parse_matches_reference_reader_on_padded_fuzz_corpus():
+    rng = random.Random(83)
+    parsed = padded_texts = 0
+    for _ in range(2000):
+        text, nv, stated, padded = padded_fuzz_dimacs(rng)
+        got = parse_outcome(parse_dimacs, text)
+        assert got == parse_outcome(reference_parse_dimacs, text), text
+        padded_texts += padded > 0
+        if got[0] == "DimacsError":
+            continue
+        parsed += 1
+        f = Formula(nv)
+        for clause in stated:
+            f.add_clause(clause)
+        assert snapshot(f) == got, text
+    assert 700 < parsed < 1800
+    assert padded_texts > 1000
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 16])
+def test_parse_matches_reference_reader_when_runs_are_cut_into_chunks(monkeypatch, chunk):
+    # fuzz texts are shorter than one real chunk; tiny chunks put chunk
+    # boundaries inside spanning clauses, before bad tokens and before a
+    # missing 0, and a chunk of 1 cuts a run at every line
+    monkeypatch.setattr(formula_module, "_CHUNK", chunk)
+    rng = random.Random(101 + chunk)
+    for k in range(600):
+        text = (padded_fuzz_dimacs if k % 2 else fuzz_dimacs)(rng)[0]
+        assert parse_outcome(parse_dimacs, text) == parse_outcome(reference_parse_dimacs, text), text
