@@ -159,25 +159,17 @@ def _header_vars(line, to_int):
     return nv if nv >= 0 and nc >= 0 else None
 
 
-def _line_at(text, offset):
-    return text.count("\n", 0, offset) + 1
-
-
 def _token_line(text, start, stop, index):
-    """Line of the index-th token of the chunk text[start:stop]."""
-    line = _line_at(text, start)
+    """Line of the index-th token of text[start:stop], a chunk of data lines
+    or a header line from its 'p' on.  Every ``DimacsError`` line except a
+    missing header's line 1 comes from here."""
+    line = text.count("\n", 0, start) + 1
     for k, piece in enumerate(text[start:stop].split("\n")):
         n = len(piece.split())
         if index < n:
             return line + k
         index -= n
     raise AssertionError("token index beyond its chunk")
-
-
-def _last_data_line(text, stop):
-    """Last line before offset stop that is neither blank nor a comment."""
-    lines = text[:stop].split("\n")
-    return max(k for k, line in enumerate(lines, 1) if line.lstrip()[:1] not in ("", "c"))
 
 
 def parse_dimacs(text: str) -> Formula:
@@ -208,12 +200,12 @@ def parse_dimacs(text: str) -> Formula:
     pairwise; any other length, or a three-literal clause with a repeated
     variable, goes through ``_normalize``, which ``add_clause`` shares.
 
-    Line numbers are derived only when raising.  A token enters the table
-    only after its checks pass, so a failing token is at its spelling's
-    first place in its chunk, and is reported at that line.  Data before
-    the header is reported at its chunk's first non-blank line, and a
-    missing terminating 0 at the last line that is neither blank nor a
-    comment.
+    Line numbers are derived only when raising, each as the line of one
+    token.  A token enters the table only after its checks pass, so a
+    failing token is at its spelling's first place in its chunk, and is
+    reported at that line.  Data before the header is reported at its
+    chunk's first token, a duplicate or malformed header at its 'p', and a
+    missing terminating 0 at the last data token read.
     """
     # int() also reads '1_2' and non-ASCII digits such as '\uff13'.  Text that
     # passes this screen holds neither; in other text each token is checked.
@@ -234,8 +226,11 @@ def parse_dimacs(text: str) -> Formula:
             if cut < 0:
                 cut = stop
             toks = text[pos:cut].split()
-            if toks and formula is None:
-                raise DimacsError("clause data before 'p cnf' header", _token_line(text, pos, cut, 0))
+            if toks:
+                if formula is None:
+                    line = _token_line(text, pos, cut, 0)
+                    raise DimacsError("clause data before 'p cnf' header", line)
+                last = (pos, cut, len(toks) - 1)  # the chunk of the last data token read
             for tok in toks:
                 lit = code(tok)
                 if lit is None:
@@ -275,12 +270,13 @@ def parse_dimacs(text: str) -> Formula:
             pos = end
         if kind == "c":
             continue
+        head = m.start(1)
         if formula is not None:
-            raise DimacsError("duplicate 'p cnf' header", _line_at(text, m.start(1)))
-        raw = text[m.start(1) : pos]
+            raise DimacsError("duplicate 'p cnf' header", _token_line(text, head, pos, 0))
+        raw = text[head:pos]
         nv = _header_vars(raw, to_int)
         if nv is None:
-            raise DimacsError("malformed header %r" % raw.strip(), _line_at(text, m.start(1)))
+            raise DimacsError("malformed header %r" % raw.strip(), _token_line(text, head, pos, 0))
         formula = Formula(nv)
         clauses = formula.clauses
         top = 2 * nv + 1
@@ -289,7 +285,7 @@ def parse_dimacs(text: str) -> Formula:
         # been a header or raised as clause data before one
         raise DimacsError("missing 'p cnf' header", 1)
     if lits:
-        raise DimacsError("missing terminating 0", _last_data_line(text, end))
+        raise DimacsError("missing terminating 0", _token_line(text, *last))
     return formula
 
 

@@ -32,6 +32,15 @@ def test_wcb_replay_violates_strong_watches_only():
     assert violations(rig.state, rig.formula, 3) == []
 
 
+def test_clause_and_violation_reprs():
+    f = Formula(3)
+    original = f.add_clause([1, -3, 2])
+    learned = f.store([lit_from_int(-2), lit_from_int(3)], learned=True)
+    assert repr(original) == "C0(1 -3 2)"
+    assert repr(learned) == "L1(-2 3)"
+    assert repr(Violation(4, "C0", "both watches false")) == "Violation(inv=4, C0: both watches false)"
+
+
 def test_lscb_replay_keeps_lazy_invariants():
     # replay the scripted scenario up to the quiescent point after the
     # backtrack and reimplication (a pending conflict legitimately breaks

@@ -273,15 +273,25 @@ def test_parse_keeps_no_token_table_between_calls():
         ("p cnf 3 2\n1 2\n c note\n3\n-1 2 0 4 0\n", "line 5: literal 4 exceeds declared 3 variables"),
         ("p cnf 3 1\n1 2 0\n-3\nc x\n\n%\n0\n", "line 3: missing terminating 0"),
         ("p cnf 3 1\n1 2 0\n-3 c\n\t% end\n0\n", "line 3: non-integer token 'c'"),
+        # a missing 0 is at the last data token read, before blank and comment lines
+        ("p cnf 3 1\n1 2 0\n-3\n2\n\n\tc tail\n\n", "line 4: missing terminating 0"),
+        ("p cnf 3 2\n1 2 0\n-1\n2\n\n3\n\n\n", "line 6: missing terminating 0"),
+        # a header error is at the header's 'p'
+        ("c a\nc b\n  p cnf 3 1\n1 0\n\t p cnf 3 1\n", "line 5: duplicate 'p cnf' header"),
+        ("c a\n c b\n\t p cnf 3 x\n1 0\n", "line 3: malformed header 'p cnf 3 x'"),
     ],
 )
-def test_parse_bad_token_after_good_ones_keeps_its_line(text, message):
+def test_parse_bad_token_after_good_ones_keeps_its_line(monkeypatch, text, message):
     # the good tokens before it are in the token table by then, and its
-    # line is derived from the run of data lines that holds it
-    for parse in (parse_dimacs, reference_parse_dimacs):
-        with pytest.raises(DimacsError) as exc:
-            parse(text)
-        assert str(exc.value) == message
+    # line is derived from the run of data lines that holds it; a chunk of
+    # 1 character also cuts every run at each line, so the last data token
+    # can lie chunks before the end
+    for chunk in (formula_module._CHUNK, 1):
+        monkeypatch.setattr(formula_module, "_CHUNK", chunk)
+        for parse in (parse_dimacs, reference_parse_dimacs):
+            with pytest.raises(DimacsError) as exc:
+                parse(text)
+            assert str(exc.value) == message
 
 
 def test_parse_long_clause_with_repeats():

@@ -66,7 +66,7 @@ def test_search_idx_matches_full_scan_on_falsified_clauses():
         assert st.level[r >> 1] == want
 
 
-def test_propagate_literal_records_mli_and_moves_watch():
+def test_bcp_records_mli_and_moves_watch():
     out = s1_replay("lscb")
     rig = out["rig"]
     f = rig.formula
@@ -79,7 +79,7 @@ def test_propagate_literal_records_mli_and_moves_watch():
     assert rig.stats.mli_detected == 1
 
 
-def test_propagate_literal_conflict_on_pending_queue():
+def test_bcp_conflict_on_pending_queue():
     out = s2_replay()
     rig = out["rig"]
     st = rig.state
@@ -93,7 +93,7 @@ def test_propagate_literal_conflict_on_pending_queue():
     assert st.trail[st.head] == lit(7)
 
 
-def test_propagate_literal_empty_watchlist_no_change():
+def test_bcp_empty_watchlist_no_change():
     f, st, prop = make_rig(3, [[1, 2]])
     st.enqueue_decision(lit(3))
     trail_before = list(st.trail)
