@@ -98,7 +98,7 @@ class Solver:
             formula, self.state, self.cfg.mode, self.stats, blockers=self.cfg.blockers
         )
         self.var_inc = VSIDS_BUMP
-        self.violations = Counter()  # invariant id -> observed count at checkpoints
+        self.violations = Counter()  # invariant id -> reports summed over checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
         self._solved = False
         self._fine = self.cfg.check_level == "fine"  # check after every pop
@@ -106,6 +106,11 @@ class Solver:
     # -- small hooks -------------------------------------------------------
 
     def _checkpoint(self):
+        """Count the checker's reports: ``coarse`` checks after each
+        conflict-free propagation and after each learned-clause install,
+        ``fine`` also after every pop.  No check follows a decision: its
+        pending literal, at a new top level, breaks no invariant, so that check
+        could report no (invariant, subject) pair that the one before missed."""
         if self.cfg.check_level == "off":
             return
         for v in checker.check_ids(self.state, self.formula):
@@ -256,7 +261,6 @@ class Solver:
                 return "sat"
             st.enqueue_decision(self.decide())
             self.stats.decisions += 1
-            self._checkpoint()
             return "decide"
         return "learn" if self._handle_conflict(conflict) else "unsat"
 
@@ -277,14 +281,9 @@ class Solver:
         while True:
             stats.conflicts += 1
             if trace is not None:
-                trace(
-                    {
-                        "kind": "conflict",
-                        # None for a re-falsified learned clause not yet stored
-                        "clause": stored.index if stored is not None else None,
-                        "level": len(st.decisions),
-                    }
-                )
+                # clause None: a re-falsified learned clause not yet stored
+                index = stored.index if stored is not None else None
+                trace({"kind": "conflict", "clause": index, "level": len(st.decisions)})
             learned = run_analysis(st, lits, cfg.analyze)
             if trace is not None:
                 for pivot, kind in learned.steps:

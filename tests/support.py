@@ -17,6 +17,16 @@ from lazysat.state import TRUE, backtrack
 from lazysat.testkit import brute_force
 
 
+# Invariant ids each mode guarantees at every checkpoint: the zero cells of
+# the invariant matrix.
+ZERO_IDS = {
+    "ncb": (1, 2, 3, 4, 5, 7),
+    "wcb": (1, 2, 3),
+    "rscb": (1, 2, 3, 4, 6),
+    "lscb": (1, 2, 3, 4, 6, 7),
+}
+
+
 def lit_from_int(n):
     """Encode a DIMACS-style signed literal, as ``parse_dimacs`` does."""
     v = -n if n < 0 else n

@@ -16,7 +16,7 @@ from lazysat.cli import render_bench_csv
 from lazysat.solver import Solver, SolverConfig
 from lazysat.state import FALSE
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
-from support import LockstepRunner, entails, s1_replay, s2_replay, solve_record
+from support import ZERO_IDS, LockstepRunner, entails, s1_replay, s2_replay, solve_record
 
 # Sizes span the 20-60 variable band at the SATLIB clause ratio.
 ORACLE_SIZES = ((20, 600), (30, 500), (40, 400), (50, 300), (60, 200))
@@ -30,7 +30,7 @@ BENCH_CSV_SHA256 = "b34c515d3f97bbd7b268cea3e77bc1360d39ccf8645ca12103284b5f7567
 # SHA-256 of the search digest sweep's JSON: verdicts, models, Stats,
 # violations and learned clauses.  Like the CSV digest, it changes only
 # openly, with a search change.
-SEARCH_SHA256 = "2175d06b95669b07d85bac1089e1968d05c70a8f18039612cf9e21a9d203e8b9"
+SEARCH_SHA256 = "d24a3ed110b7c93b16eb243202e3edf9551d191318868fb41f50cc6621ab69dd"
 SEARCH_SIZES = ((30, 128), (50, 218))
 SEARCH_CONFIGS = (
     {"cb_threshold": 1},
@@ -126,12 +126,6 @@ def test_invariant_matrix():
     Zero-tolerance cells per mode, plus the required existence of a strong
     watched-literal violation somewhere in the weak-mode batch.
     """
-    zero_cells = {
-        "ncb": (1, 2, 3, 4, 5, 7),
-        "wcb": (1, 2, 3),
-        "rscb": (1, 2, 3, 4, 6),
-        "lscb": (1, 2, 3, 4, 6, 7),
-    }
     broken = []
     wcb_inv4 = 0
     for mode in MODES:
@@ -144,7 +138,7 @@ def test_invariant_matrix():
                 )
                 s = Solver(f.copy(), cfg)
                 s.solve()
-                for inv in zero_cells[mode]:
+                for inv in ZERO_IDS[mode]:
                     if s.violations.get(inv, 0):
                         broken.append((mode, inv, n, i, s.violations[inv]))
                 if mode == "wcb":
@@ -411,9 +405,16 @@ def test_determinism_byte_identical_csv():
     assert digest == BENCH_CSV_SHA256
 
 
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def test_search_digest():
     """Every mode under two configurations solves a fixed sweep exactly as
-    pinned: same verdict, model, Stats, violations and learned clauses."""
+    pinned: same verdict, model, Stats, violations and learned clauses.
+
+    The line also prints one sub-digest per record part, so that a moved
+    combined digest shows which part moved."""
     records = []
     for n, m in SEARCH_SIZES:
         for seed in range(60_000, 60_003):
@@ -421,7 +422,14 @@ def test_search_digest():
             for options in SEARCH_CONFIGS:
                 for mode in MODES:
                     records.append(solve_record(formula, SolverConfig(mode=mode, **options)))
-    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
-    detail = " (%d solves, sha256 %s)" % (len(records), digest)
+    digest = _sha256(records)
+    parts = {
+        "verdict": [(r["sat"], r["model"]) for r in records],
+        "stats": [r["stats"] for r in records],
+        "violations": [r["violations"] for r in records],
+        "learned": [r["learned"] for r in records],
+    }
+    subs = ", ".join("%s %s" % (name, _sha256(part)[:16]) for name, part in parts.items())
+    detail = " (%d solves, sha256 %s; %s)" % (len(records), digest, subs)
     _report("search digest", digest == SEARCH_SHA256, detail)
     assert digest == SEARCH_SHA256

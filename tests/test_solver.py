@@ -7,13 +7,14 @@ import pytest
 
 import lazysat.solver as solver_mod
 from lazysat.analyze import LearnedClause
+from lazysat.checker import check_ids
 from lazysat.formula import Formula, lit_to_int
-from lazysat.solver import Solver, SolverConfig, choose_backtrack_level
+from lazysat.solver import Solver, SolverConfig, Stats, choose_backtrack_level
 from lazysat.solver import SolverConfig as cfg
 from lazysat.state import UNDEF, backtrack
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
 from support import lit_from_int as lit
-from support import replay_trace, s1_formula, solve_record, violations
+from support import ZERO_IDS, replay_trace, s1_formula, solve_record, violations
 
 
 def test_empty_formula_is_sat():
@@ -425,15 +426,6 @@ def test_verdicts_match_oracle_all_modes_and_strategies():
     assert mismatches == 0
 
 
-# Invariant ids each mode guarantees at every checkpoint.
-ZERO_IDS = {
-    "ncb": (1, 2, 3, 4, 5, 7),
-    "wcb": (1, 2, 3),
-    "rscb": (1, 2, 3, 4, 6),
-    "lscb": (1, 2, 3, 4, 6, 7),
-}
-
-
 def test_mode_invariant_matrix_small_soak():
     wcb_saw_inv4 = 0
     for mode, zero_ids in ZERO_IDS.items():
@@ -446,6 +438,63 @@ def test_mode_invariant_matrix_small_soak():
             if mode == "wcb":
                 wcb_saw_inv4 += s.violations.get(4, 0)
     assert wcb_saw_inv4 > 0
+
+
+def test_coarse_checks_once_per_decide_learn_and_sat_step(monkeypatch):
+    # The checkpoint contract of Solver._checkpoint: coarse checks after each
+    # conflict-free propagation, which ends a "decide" or "sat" step, and
+    # after each learned-clause install, which ends a "learn" step; no check
+    # follows a decision.  A stub stands in for the scan, which only counts.
+    calls = [0]
+
+    def counted(state, formula):
+        calls[0] += 1
+        return []
+
+    monkeypatch.setattr(solver_mod.checker, "check_ids", counted)
+    totals = Counter()
+    for mode, analyze, minimize in itertools.product(ZERO_IDS, (1, 2), (False, True)):
+        for seed in range(8):
+            c = cfg(mode, analyze, cb_threshold=1, minimize=minimize, check_level="coarse")
+            s = Solver(random_3sat(30, 128, seed), c)
+            calls[0] = 0
+            kinds = Counter()
+            assert s.setup() is None
+            while not (kinds["sat"] or kinds["unsat"]):
+                kinds[s.step()] += 1
+            assert calls[0] == kinds["decide"] + kinds["learn"] + kinds["sat"], (mode, seed)
+            totals += kinds
+    assert totals["sat"] and totals["unsat"] and totals["learn"], totals
+
+
+def test_a_decision_adds_no_checker_report():
+    # Why no checkpoint follows a decision: its literal is pending, at a new
+    # top level, so each (invariant, subject) pair reported after it was
+    # already reported just before it.
+    def pairs(s):
+        return {(v.invariant, v.subject) for v in check_ids(s.state, s.formula)}
+
+    decisions = fewer = 0
+    grid = itertools.product(ZERO_IDS, (False, True), (1, 2), (False, True))
+    for (mode, blockers, analyze, minimize), seed in itertools.product(grid, range(7000, 7003)):
+        c = cfg(mode, analyze, cb_threshold=1, minimize=minimize, blockers=blockers)
+        s = Solver(random_3sat(30, 128, seed), c)
+        assert s.setup() is None
+        while True:
+            conflict = s.prop.bcp()
+            if conflict is not None:
+                if not s._handle_conflict(conflict):
+                    break
+                continue
+            if len(s.state.trail) == s.formula.num_vars:
+                break
+            before = pairs(s)
+            s.state.enqueue_decision(s.decide())
+            after = pairs(s)
+            assert after <= before, (mode, blockers, analyze, minimize, seed, after - before)
+            decisions += 1
+            fewer += after < before
+    assert decisions > 0 and fewer > 0, (decisions, fewer)
 
 
 def _mixed_formula(seed):
@@ -516,6 +565,18 @@ def test_stats_deterministic_and_monotone():
     va, vb = a.solve(), b.solve()
     assert va.sat == vb.sat
     assert a.stats.as_dict() == b.stats.as_dict()
+    # Stepped by hand, no counter ever decreases from one step to the next.
+    # The instance moves every counter, reimplications included.
+    s = Solver(random_3sat(20, 91, 3), cfg(mode="lscb", cb_threshold=1))
+    assert s.setup() is None
+    before = s.stats.as_dict()
+    kind = None
+    while kind not in ("sat", "unsat"):
+        kind = s.step()
+        after = s.stats.as_dict()
+        assert all(after[k] >= before[k] for k in Stats.FIELDS), (kind, before, after)
+        before = after
+    assert all(before[k] > 0 for k in Stats.FIELDS), before
 
 
 def test_flag_combination_soak_against_oracle():
