@@ -263,7 +263,6 @@ def parse_dimacs(text: str) -> Formula:
             break
         kind = m.group(1)
         if kind == "%":
-            end = stop
             break
         pos = text.find("\n", m.end())
         if pos < 0:

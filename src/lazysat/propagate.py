@@ -21,11 +21,11 @@ its literal list.  A ternary clause has exactly one replacement candidate,
 the literal in neither watch slot: its stored literal sum ``Clause.sum3``
 minus both watches.  So its visits resolve the replacement in place, from
 one attribute load and two subtractions; ``_search_idx`` scans every other
-clause length (``sum3`` is 0 there) and is the reference the in-place
-answer agrees with.  Only ``_search_idx`` reads a clause's rotating
-``search_pos``, so the ternary path leaves it alone.  Either way the
-replacement's value is read once and serves both the ternary level test
-and the "replacement not falsified" exit.
+clause length (``sum3`` is 0 there) for the replacement literal, and is
+the reference the in-place answer agrees with.  Only ``_search_idx``
+reads a clause's rotating ``search_pos``, so the ternary path leaves it
+alone.  Either way the replacement's value is read once and serves both
+the ternary level test and the "replacement not falsified" exit.
 """
 
 from __future__ import annotations
@@ -91,13 +91,14 @@ class Propagator:
     # -- replacement search --------------------------------------------------
 
     def _search_idx(self, clause, c1, c2):
-        """Index of the candidate literal to take over the falsified watch c1.
+        """The literal to take over the falsified watch c1 (the name stays:
+        perfbench's ``search`` span patches it).
 
-        The candidate is either a literal not falsified by the current trail,
-        or, when the clause minus c2 is fully falsified, a literal of maximal
-        level in it (possibly c1 itself when no other attains the maximum).
-        ``bcp`` gives the same answer for ternary clauses without calling
-        this; it serves every other length.
+        The first literal from ``search_pos`` on that the trail does not
+        falsify, which becomes ``search_pos``; or, when the clause minus c2
+        is fully falsified, its first literal of maximal level, c1 only when
+        no other reaches c1's level.  ``bcp`` gives the same answer for
+        ternary clauses without calling this; it serves every other length.
         """
         lits = clause.lits
         val = self.state.val
@@ -112,25 +113,19 @@ class Propagator:
                 continue
             if val[x] != FALSE:
                 clause.search_pos = i
-                return i
-        # Everything outside c2 is falsified: pick a literal of maximal level,
-        # breaking ties toward the lowest index and away from c1 when possible.
+                return x
+        # Everything outside c2 is falsified: ties go to the lowest index, not c1.
         level = self.state.level
-        best_i = -1
-        best_lit = c1
+        best = c1
         best_lvl = level[c1 >> 1]
-        for i in range(n):
-            x = lits[i]
+        for x in lits:
             if x == c2 or x == c1:
                 continue
             lx = level[x >> 1]
-            if lx > best_lvl or (lx == best_lvl and best_lit == c1):
-                best_i = i
-                best_lit = x
+            if lx > best_lvl or (lx == best_lvl and best == c1):
+                best = x
                 best_lvl = lx
-        if best_i < 0:
-            return lits.index(c1)
-        return best_i
+        return best
 
     # -- propagation ---------------------------------------------------------
 
@@ -145,6 +140,8 @@ class Propagator:
         On conflict the triggering literal is left in the queue and the
         conflicting clause returned; otherwise the trail ends fully
         propagated.  The propagation counter advances once per head move.
+        ``on_pop``, if given, runs after each pop that leaves work queued,
+        with ``state.head`` advanced; the end state is the caller's to check.
         """
         st = self.state
         stats = self.stats
@@ -196,7 +193,7 @@ class Propagator:
                     if vr == FALSE and level[r >> 1] < lvl_c1:
                         r = c1
                 else:
-                    r = clause.lits[self._search_idx(clause, c1, c2)]
+                    r = self._search_idx(clause, c1, c2)
                     vr = val[r]
                 if r == c1:
                     watchers[j] = clause
@@ -239,7 +236,7 @@ class Propagator:
                 trace({"kind": "pop", "lit": lit_to_int(trail[head])})
             head += 1
             props += 1
-            if on_pop is not None:
+            if on_pop is not None and head < len(trail):
                 st.head = head
                 on_pop()
         st.head = head

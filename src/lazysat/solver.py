@@ -101,16 +101,18 @@ class Solver:
         self.violations = Counter()  # invariant id -> reports summed over checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
         self._solved = False
-        self._fine = self.cfg.check_level == "fine"  # check after every pop
+        self._fine = self.cfg.check_level == "fine"  # check after pops, too
 
     # -- small hooks -------------------------------------------------------
 
     def _checkpoint(self):
         """Count the checker's reports: ``coarse`` checks after each
         conflict-free propagation and after each learned-clause install,
-        ``fine`` also after every pop.  No check follows a decision: its
-        pending literal, at a new top level, breaks no invariant, so that check
-        could report no (invariant, subject) pair that the one before missed."""
+        ``fine`` also after every pop that leaves work queued (``bcp``'s
+        ``on_pop``; ``step`` checks the end state once).  No check follows a
+        decision: its pending literal, at a new top level, breaks no invariant,
+        so that check could report no (invariant, subject) pair that the one
+        before missed."""
         if self.cfg.check_level == "off":
             return
         for v in checker.check_ids(self.state, self.formula):

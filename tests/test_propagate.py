@@ -25,7 +25,7 @@ def test_search_idx_case_a_unassigned():
     f, st, prop = make_rig(3, [[1, 2, 3]])
     c = f.clauses[0]
     st.enqueue_decision(lit(-1))
-    r = c.lits[prop._search_idx(c, lit(1), lit(2))]
+    r = prop._search_idx(c, lit(1), lit(2))
     assert r == lit(3)
 
 
@@ -37,33 +37,79 @@ def test_search_idx_case_b_total_falsification():
     st.enqueue_decision(lit(5))  # falsifies -5 at level 1
     st.enqueue_implied(lit(-3), f.clauses[1], 1)  # falsifies 3 at level 1
     st.enqueue_decision(lit(2))  # satisfies the first watch at level 2
-    r = c.lits[prop._search_idx(c, lit(3), lit(2))]
+    r = prop._search_idx(c, lit(3), lit(2))
     assert r == lit(-5)
     assert st.level[r >> 1] == 1
 
 
 def test_search_idx_matches_full_scan_on_falsified_clauses():
+    # Everything but c2 falsified over a few levels, so ties are common: the
+    # answer is the first literal of maximal level in clause order, c1 only
+    # when no other reaches c1's level, and search_pos stays where it was.
     rng = random.Random(5)
-    for _ in range(200):
+    seen = Counter()
+    for _ in range(400):
         n = rng.randint(3, 8)
+        k = rng.randint(1, 3)  # levels, opened by decisions on k extra variables
         size = rng.randint(2, n)
-        vs = rng.sample(range(1, n + 1), size)
-        ints = [v if rng.random() < 0.5 else -v for v in vs]
+        ints = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), size)]
+        f = Formula(n + k)
+        c = f.add_clause(ints)
+        st = TrailState(n + k)
+        prop = Propagator(f, st, "lscb", Stats())
+        c1, c2 = rng.sample(c.lits, 2)
+        for d in range(n + 1, n + k + 1):
+            st.enqueue_decision(lit(d))
+        for x in c.lits:
+            if x != c2:
+                st.enqueue_implied(x ^ 1, c, rng.randint(1, k))
+        c2_state = rng.choice(("false", "true", "free"))
+        if c2_state != "free":
+            st.enqueue_implied(c2 ^ 1 if c2_state == "false" else c2, c, rng.randint(1, k))
+        pos = c.search_pos = rng.randrange(size)
+        others = [x for x in c.lits if x != c1 and x != c2]
+        top = max(st.level[x >> 1] for x in others + [c1])
+        ties = [x for x in others if st.level[x >> 1] == top]
+        want = ties[0] if ties else c1
+        assert prop._search_idx(c, c1, c2) == want
+        assert c.search_pos == pos
+        if want == c1:
+            seen["keep c1"] += 1
+        elif st.level[c1 >> 1] == top:
+            seen["tie moves off c1"] += 1
+        if len(ties) > 1:
+            seen["first of several"] += 1
+    assert len(seen) == 3, seen
+
+
+def test_search_idx_takes_the_first_free_literal_from_search_pos():
+    # a literal not falsified: the first after c1 and c2 are skipped, in
+    # rotation from search_pos, which then moves to it
+    rng = random.Random(6)
+    found = rotated = 0
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        size = rng.randint(3, n)
+        ints = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), size)]
         f = Formula(n)
         c = f.add_clause(ints)
         st = TrailState(n)
-        # falsify every literal at a random level via decisions on other order
-        order = list(c.lits)
-        rng.shuffle(order)
-        for x in order:
-            st.enqueue_decision(x ^ 1)
-        c1, c2 = c.w0, c.w1
         prop = Propagator(f, st, "lscb", Stats())
-        prop.init_watches()
-        r = c.lits[prop._search_idx(c, c1, c2)]
-        rest = [x for x in c.lits if x != c2]
-        want = max(st.level[x >> 1] for x in rest)
-        assert st.level[r >> 1] == want
+        c1, c2 = rng.sample(c.lits, 2)
+        st.enqueue_decision(c1 ^ 1)
+        for x in c.lits:
+            if x != c1 and rng.random() < 0.6:  # else left free
+                st.enqueue_implied(x ^ 1 if rng.random() < 0.7 else x, c, 1)
+        pos = c.search_pos = rng.randrange(size)
+        order = [(pos + i) % size for i in range(size)]
+        free = [i for i in order if c.lits[i] not in (c1, c2) and st.val[c.lits[i]] != FALSE]
+        if not free:
+            continue
+        assert prop._search_idx(c, c1, c2) == c.lits[free[0]]
+        assert c.search_pos == free[0]
+        found += 1
+        rotated += free[0] != min(free)
+    assert found > 100 and rotated > 10, (found, rotated)
 
 
 def test_bcp_records_mli_and_moves_watch():
@@ -123,7 +169,7 @@ def test_bcp_on_pop_sees_the_advanced_head():
         heads = []
         assert kernel(prop, lambda: heads.append((st.head, len(st.trail)))) is None
         seen.append(heads)
-    assert seen[0] == seen[1] == [(1, 3), (2, 3), (3, 4), (4, 4)]
+    assert seen[0] == seen[1] == [(1, 3), (2, 3), (3, 4)]
 
 
 def test_bcp_conflict_leaves_trigger_queued():
@@ -367,8 +413,7 @@ def test_ternary_watch_visit_matches_search_idx():
         trail = list(st.trail)
         conflict = mli = implied_at = None
         if not (c2_true and (mode != "lscb" or level[c2 >> 1] <= lvl_c1)):
-            ridx = ref_prop._search_idx(ref, c1, c2)
-            r = clause.lits[ridx]
+            r = ref_prop._search_idx(ref, c1, c2)
             if r != c1:
                 slots[slots.index(c1)] = r
             if r == c1:
@@ -443,7 +488,7 @@ def reference_propagate_literal(prop, lit):
             if val[r] == FALSE and level[r >> 1] < lvl_c1:
                 r = c1
         else:
-            r = lits[prop._search_idx(clause, c1, c2)]
+            r = prop._search_idx(clause, c1, c2)
         if r == c1:
             watchers[j] = clause
             j += 1
@@ -488,7 +533,7 @@ def reference_bcp(prop, on_pop=None):
         st.head += 1
         if stats is not None:
             stats.propagations += 1
-        if on_pop is not None:
+        if on_pop is not None and st.head < len(st.trail):
             on_pop()
     return None
 

@@ -467,6 +467,28 @@ def test_coarse_checks_once_per_decide_learn_and_sat_step(monkeypatch):
     assert totals["sat"] and totals["unsat"] and totals["learn"], totals
 
 
+def test_fine_never_checks_one_state_twice(monkeypatch):
+    # fine checks after each pop that leaves work queued (bcp's on_pop), and
+    # step checks a propagation's end state once, so no two consecutive scans
+    # of a solve see the same trail, head, clause count and decisions.
+    seen = []
+
+    def recorded(state, formula):
+        seen.append((list(state.trail), state.head, len(formula.clauses), list(state.decisions)))
+        return []
+
+    monkeypatch.setattr(solver_mod.checker, "check_ids", recorded)
+    scans = 0
+    for mode in ZERO_IDS:
+        for seed in range(10):
+            seen.clear()
+            Solver(random_3sat(20, 91, seed), cfg(mode, cb_threshold=1, check_level="fine")).solve()
+            repeats = sum(seen[k] == seen[k - 1] for k in range(1, len(seen)))
+            assert repeats == 0, (mode, seed, repeats, len(seen))
+            scans += len(seen)
+    assert scans > 1000, scans
+
+
 def test_a_decision_adds_no_checker_report():
     # Why no checkpoint follows a decision: its literal is pending, at a new
     # top level, so each (invariant, subject) pair reported after it was
