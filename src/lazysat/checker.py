@@ -1,4 +1,4 @@
-"""Executable predicates for the solver invariants (ids 1..8).
+"""Executable predicates for the solver invariants (ids 1..7; 8 is retired).
 
 Each check quantifies over the watched clauses (both watch orientations)
 or over the trail, exactly as the invariant is stated:
@@ -12,9 +12,6 @@ or over the trail, exactly as the invariant is stated:
 5  backward compatible          ... and satisfied at a level not above it
 6  lazy reimplication           stored MLIs really are MLIs
 7  lazy backward compatible     5 weakened by a stored-MLI alternative
-8  blocker variant              7 weakened by a low-enough satisfied blocker,
-                                on a clause whose blocker is set; holds in
-                                ncb and lscb, while blockers void 1, 4, 5, 7
 
 Each call first marks, in a fresh per-literal table, the literals
 falsified in the propagated prefix: every falsified literal (found with
@@ -22,8 +19,8 @@ falsified in the propagated prefix: every falsified literal (found with
 which is missing from the trail.  The clause scan then reads each stored
 clause's two watched literals against that table, and only a clause with a
 marked watch is looked at further.  A watch orientation whose other watch is
-satisfied at or below the falsified one's level satisfies 1, 4, 5, 7 and 8
-at once and is passed over inline; any other orientation violates 5, and
+satisfied at or below the falsified one's level satisfies 1, 4, 5 and 7 at
+once and is passed over inline; any other orientation violates 5, and
 ``_watch_reports`` tests the rest and formats the details.  Likewise one
 pass over a reason that holds its literal, with every other literal
 falsified earlier on the trail, settles 2 and 3; only another reason has
@@ -58,12 +55,10 @@ class Violation:
 
 
 def check_ids(state, formula):
-    """Evaluate all eight invariants in one pass over clauses and trail.
+    """Evaluate all seven invariants in one pass over clauses and trail.
 
-    Every id is checked; invariant 8 applies to a clause whose blocker is
-    set, which is every watched clause exactly when the solver maintains
-    blockers.  The name stays from when callers chose the ids, because
-    perfbench/run.py patches the function by that name to time it.
+    Every id is checked.  The name stays from when callers chose the ids,
+    because perfbench/run.py patches the function by that name to time it.
     """
     out = []
     val = state.val
@@ -165,7 +160,7 @@ def check_ids(state, formula):
 def _watch_reports(out, state, clause, c1, c2, c2_in_prefix):
     """Append the reports of one watch orientation: c1 is falsified in the
     propagated prefix, and c2 is not satisfied at or below c1's level, so
-    invariant 5 is violated and 1, 4, 7 and 8 are tested."""
+    invariant 5 is violated and 1, 4 and 7 are tested."""
     val = state.val
     level = state.level
     lvl1 = level[c1 >> 1]
@@ -175,8 +170,6 @@ def _watch_reports(out, state, clause, c1, c2, c2_in_prefix):
     if c2_sat:
         mli = state.lazy_cl[c2 >> 1]
         lazy_ok = mli is not None and state.residual_level(mli.lits, c2) <= lvl1
-    b = clause.blocker
-    f8 = b != 0 and not lazy_ok and not (val[b] == TRUE and level[b >> 1] <= lvl1)
     where = "C%d" % clause.index
     ctx = "c1=%d@%s c2=%d@%s" % (lit_to_int(c1), lvl1, lit_to_int(c2), lvl2)
     if c2_in_prefix:
@@ -186,5 +179,3 @@ def _watch_reports(out, state, clause, c1, c2, c2_in_prefix):
     out.append(Violation(5, where, "other watch not satisfied at or below; " + ctx))
     if not lazy_ok:
         out.append(Violation(7, where, "no low satisfaction nor stored MLI; " + ctx))
-    if f8:
-        out.append(Violation(8, where, "neither MLI cover nor blocker; " + ctx))

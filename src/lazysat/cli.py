@@ -71,7 +71,6 @@ def _add_config_flags(cmd, cb_threshold):
     cmd.add_argument("--analyze", type=int, choices=(1, 2), default=2)
     cmd.add_argument("--cb-threshold", type=int, default=cb_threshold)
     cmd.add_argument("--minimize", action="store_true")
-    cmd.add_argument("--blockers", action="store_true")
 
 
 def _config_from(args, mode, check="off"):
@@ -80,7 +79,6 @@ def _config_from(args, mode, check="off"):
         analyze=args.analyze,
         cb_threshold=args.cb_threshold,
         minimize=args.minimize,
-        blockers=args.blockers,
         check_level=check,
     )
 

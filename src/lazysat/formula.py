@@ -20,7 +20,7 @@ def lit_to_int(lit: int) -> int:
 
 
 class Clause:
-    """A stored disjunction with two watch slots and an optional blocker.
+    """A stored disjunction with two watch slots.
 
     ``w0``/``w1`` hold the two watched literals, as MiniSat's watches do; unit
     clauses are never watched and hold ``lits[0]`` in both.  A ternary
@@ -31,13 +31,12 @@ class Clause:
     the other lengths.
     """
 
-    __slots__ = ("lits", "w0", "w1", "blocker", "learned", "index", "search_pos", "sum3")
+    __slots__ = ("lits", "w0", "w1", "learned", "index", "search_pos", "sum3")
 
     def __init__(self, lits, learned=False, index=-1):
         self.lits = lits
         self.w0 = lits[0]
         self.w1 = lits[1] if len(lits) > 1 else lits[0]
-        self.blocker = 0  # encoded literal, 0 = unset
         self.learned = learned
         self.index = index
         self.search_pos = 0

@@ -35,11 +35,10 @@ from .state import FALSE, TRUE
 
 
 class Propagator:
-    def __init__(self, formula, state, mode, stats, blockers=False):
+    def __init__(self, formula, state, mode, stats):
         self.formula = formula
         self.state = state
         self.lazy_mode = mode == "lscb"
-        self.blockers = blockers
         self.stats = stats
         self.wl = [[] for _ in range(2 * (formula.num_vars + 1))]
 
@@ -48,10 +47,8 @@ class Propagator:
     def watch(self, clauses):
         """Append each clause of two or more literals, in order, to the lists
         of its two watched literals, and return the unit clauses, which are
-        never watched (both slots hold their literal); with blockers, the
-        blocker starts at ``w1``."""
+        never watched (both slots hold their literal)."""
         wl = self.wl
-        blockers = self.blockers
         units = []
         for clause in clauses:
             w0 = clause.w0
@@ -61,8 +58,6 @@ class Propagator:
                 continue
             wl[w0].append(clause)
             wl[w1].append(clause)
-            if blockers:
-                clause.blocker = w1
         return units
 
     def init_watches(self):
@@ -153,7 +148,6 @@ class Propagator:
         trail = st.trail
         wl = self.wl
         lazy_mode = self.lazy_mode
-        blockers = self.blockers
         trace = st.trace
         # implications' checked asserts and trace events live in
         # enqueue_implied; without either they run inline
@@ -168,19 +162,11 @@ class Propagator:
             # other lists; only other lists grow while this one is scanned
             j = moved = 0
             for clause in watchers:
-                if blockers:
-                    b = clause.blocker
-                    if b and val[b] == TRUE and level[b >> 1] <= lvl_c1:
-                        watchers[j] = clause
-                        j += 1
-                        continue
                 a = clause.w0
                 c2 = clause.w1 if a == c1 else a
                 vc2 = val[c2]
                 if vc2 == TRUE:
                     if not lazy_mode or level[c2 >> 1] <= lvl_c1 or lazy_lvl[c2 >> 1] <= lvl_c1:
-                        if blockers:
-                            clause.blocker = c2
                         watchers[j] = clause
                         j += 1
                         continue
@@ -206,8 +192,6 @@ class Propagator:
                     wl[r].append(clause)
                     moved += 1
                     if vr != FALSE:
-                        if blockers and vr == TRUE:
-                            clause.blocker = r
                         continue
                 # The clause minus c2 is fully falsified and r has its maximal level.
                 if vc2 == FALSE:

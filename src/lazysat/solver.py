@@ -34,7 +34,6 @@ class SolverConfig:
     analyze: int = 2
     cb_threshold: int = 100
     minimize: bool = False
-    blockers: bool = False
     check_level: str = "off"
 
     def __post_init__(self):
@@ -94,9 +93,7 @@ class Solver:
         self.stats = Stats()
         checked = self.cfg.check_level != "off"
         self.state = TrailState(formula.num_vars, checked=checked, trace=trace)
-        self.prop = Propagator(
-            formula, self.state, self.cfg.mode, self.stats, blockers=self.cfg.blockers
-        )
+        self.prop = Propagator(formula, self.state, self.cfg.mode, self.stats)
         self.var_inc = VSIDS_BUMP
         self.violations = Counter()  # invariant id -> reports summed over checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)

@@ -321,7 +321,7 @@ def violations(state, formula, *ids):
 def state_hash(state, formula):
     """Order-sensitive digest of the live solver state, for purity checks."""
     clause_part = tuple(
-        (c.index, c.w0, c.w1, c.blocker, c.search_pos, tuple(c.lits)) for c in formula.clauses
+        (c.index, c.w0, c.w1, c.search_pos, tuple(c.lits)) for c in formula.clauses
     )
     var_part = tuple(
         (

@@ -30,7 +30,7 @@ BENCH_CSV_SHA256 = "b34c515d3f97bbd7b268cea3e77bc1360d39ccf8645ca12103284b5f7567
 # SHA-256 of the search digest sweep's JSON: verdicts, models, Stats,
 # violations and learned clauses.  Like the CSV digest, it changes only
 # openly, with a search change.
-SEARCH_SHA256 = "d24a3ed110b7c93b16eb243202e3edf9551d191318868fb41f50cc6621ab69dd"
+SEARCH_SHA256 = "ac14c5c4905a79115603132ae4249ca75a025a95ea76ef8c73af78b44cd37f43"
 SEARCH_SIZES = ((30, 128), (50, 218))
 SEARCH_CONFIGS = (
     {"cb_threshold": 1},
@@ -38,7 +38,6 @@ SEARCH_CONFIGS = (
         "cb_threshold": 1,
         "analyze": 1,
         "minimize": True,
-        "blockers": True,
         "check_level": "coarse",
     },
 )
@@ -96,13 +95,11 @@ def test_analysis_strategy_is_inert_outside_lscb():
     """Only lscb stores MLIs, and the strategy only changes how stored MLIs
     are read, so ncb, wcb and rscb solve identically under both strategies,
     under every flag combination."""
-    grid = itertools.product(
-        ("ncb", "wcb", "rscb"), (False, True), (False, True), ("off", "coarse"), (1, 100)
-    )
+    grid = itertools.product(("ncb", "wcb", "rscb"), (False, True), ("off", "coarse"), (1, 100))
     differing = []
     solves = 0
-    for k, (mode, minimize, blockers, check, threshold) in enumerate(grid):
-        flags = dict(mode=mode, minimize=minimize, blockers=blockers, check_level=check)
+    for k, (mode, minimize, check, threshold) in enumerate(grid):
+        flags = dict(mode=mode, minimize=minimize, check_level=check)
         for f in (random_3sat(20, 91, k % 40), random_3sat(40, 170, k % 20)):
             one, two = (
                 solve_record(f, SolverConfig(analyze=strategy, cb_threshold=threshold, **flags))
@@ -383,7 +380,6 @@ def test_determinism_byte_identical_csv():
         analyze=2,
         cb_threshold=1,
         minimize=False,
-        blockers=False,
         wall_time=False,
     )
     outputs = []

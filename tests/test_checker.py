@@ -6,7 +6,7 @@ import pytest
 
 from lazysat.checker import Violation, check_ids
 from lazysat.formula import Formula, lit_to_int
-from lazysat.solver import MODES, Solver, SolverConfig
+from lazysat.solver import Solver, SolverConfig
 from lazysat.state import FALSE, INF, TRUE, UNDEF, TrailState
 from lazysat.testkit import random_3sat
 from support import (
@@ -110,23 +110,6 @@ def test_random_ncb_soak_all_checkpoints_clean():
         assert not s.violations, s.violations
 
 
-def test_blockers_soak_keeps_the_documented_invariants():
-    # bcp skips a clause whose blocker is satisfied at or below the falsified
-    # watch's level without moving its watches, so ids 1, 4, 5 and 7, which
-    # read only the watch pair, report correct runs; 8 holds in ncb and lscb,
-    # the modes where 7 holds without blockers
-    for mode in MODES:
-        seen = Counter()
-        for seed in range(20):
-            cfg = SolverConfig(mode=mode, cb_threshold=1, blockers=True, check_level="fine")
-            s = Solver(random_3sat(12, 51, seed), cfg)
-            s.solve()
-            seen += s.violations
-        held = (2, 3, 6, 8) if mode in ("ncb", "lscb") else (2, 3, 6)
-        assert [seen[i] for i in held] == [0] * len(held), (mode, seen)
-        assert seen[1] > 0, (mode, seen)
-
-
 def test_inv6_catches_stale_cache():
     f = Formula(3)
     mli = f.add_clause([3, -1])
@@ -192,18 +175,6 @@ def test_trail_scan_reports_a_falsified_reason_without_its_literal():
     assert violations(st, f, 2, 3, 6) == want == _reference_trail_scan(st)
 
 
-def test_inv8_checked_only_with_blockers():
-    # invariant 8 applies only to a clause whose blocker is set: the wcb
-    # replay maintains none, so its inv-7 violations have no inv-8 twin
-    rig = s1_replay("wcb")["rig"]
-    assert violations(rig.state, rig.formula, 7)
-    assert violations(rig.state, rig.formula, 8) == []
-    f = random_3sat(12, 51, 2)
-    s = Solver(f.copy(), SolverConfig(mode="lscb", cb_threshold=1, blockers=True))
-    assert s.solve().sat
-    assert violations(s.state, s.formula, 8) == []
-
-
 def _triples(violations):
     return [(v.invariant, v.subject, v.detail) for v in violations]
 
@@ -262,14 +233,13 @@ def _reference_trail_scan(state):
     return out
 
 
-def _reference_clause_scan(state, formula, blockers):
-    """The straightforward clause-invariant scan (ids 1, 4, 5, 7, 8), kept as an oracle.
+def _reference_clause_scan(state, formula):
+    """The straightforward clause-invariant scan (ids 1, 4, 5, 7), kept as an oracle.
 
     Every watch orientation whose first watch is falsified in the propagated
     prefix gets its detail built and each invariant tested on its own.
     """
     out = []
-    clause_ids = [1, 4, 5, 7] + ([8] if blockers else [])
     val = state.val
     level = state.level
     pos = trail_positions(state)
@@ -293,22 +263,17 @@ def _reference_clause_scan(state, formula, blockers):
                 lit_to_int(c2),
                 lvl2 if val[c2] != UNDEF else "inf",
             )
-            if 1 in clause_ids and c2_tau_false:
+            if c2_tau_false:
                 out.append(Violation(1, where, "both watches falsified in prefix; " + ctx))
-            if 4 in clause_ids and not c2_sat:
+            if not c2_sat:
                 out.append(Violation(4, where, "watch falsified, other not satisfied; " + ctx))
-            if 5 in clause_ids and not (c2_sat and lvl2 <= lvl1):
+            if not (c2_sat and lvl2 <= lvl1):
                 out.append(Violation(5, where, "other watch not satisfied at or below; " + ctx))
             mli = state.lazy_cl[c2 >> 1] if c2_sat else None
             residual = state.residual_level(mli.lits, c2) if mli is not None else INF
             lazy_ok = c2_sat and (lvl2 <= lvl1 or residual <= lvl1)
-            if 7 in clause_ids and not lazy_ok:
+            if not lazy_ok:
                 out.append(Violation(7, where, "no low satisfaction nor stored MLI; " + ctx))
-            if 8 in clause_ids:
-                b = clause.blocker
-                b_ok = b != 0 and val[b] == TRUE and level[b >> 1] <= lvl1
-                if not (lazy_ok or b_ok):
-                    out.append(Violation(8, where, "neither MLI cover nor blocker; " + ctx))
     return out
 
 
@@ -398,10 +363,10 @@ def _s2_state():
     return rig.state, rig.formula
 
 
-def _matches_reference(state, formula, blockers, where):
+def _matches_reference(state, formula, where):
     """The checker's reports, asserted equal to the reference scans' in order."""
     got = check_ids(state, formula)
-    want = _reference_clause_scan(state, formula, blockers) + _reference_trail_scan(state)
+    want = _reference_clause_scan(state, formula) + _reference_trail_scan(state)
     assert _triples(got) == _triples(want), where
     return got
 
@@ -412,6 +377,7 @@ def test_check_ids_matches_reference_scan():
     # solves in every mode, and on each step's state with one field broken
     # (a seeded corruption per step, the kinds in turn)
     fired = set()
+    fired_broken = set()  # a correct run never reports 1; a broken watch does
     changed = Counter()  # corruption kind -> states where it changed the report
     holding_mli = 0  # checkpoints of real solves with a stored MLI
     # (mode, analyze, variables, clauses, seeds); the 20-variable solves
@@ -419,41 +385,43 @@ def test_check_ids_matches_reference_scan():
     groups = [(mode, 2, 20, 86, range(6)) for mode in ("ncb", "wcb", "rscb", "lscb")]
     groups.append(("lscb", 1, 50, 218, (0, 2)))
     for mode, analyze, n, m, seeds in groups:
-        for blockers in (False, True):
-            for seed in seeds:
-                rng = random.Random("%s %s %d" % (mode, blockers, seed))
-                s = Solver(
-                    random_3sat(n, m, seed),
-                    SolverConfig(mode=mode, analyze=analyze, cb_threshold=1, blockers=blockers),
-                )
-                assert s.setup() is None
-                kind = "setup"
-                steps = 0
-                while True:
-                    where = (mode, analyze, n, blockers, seed, kind)
-                    got = _matches_reference(s.state, s.formula, blockers, where)
-                    fired.update(v.invariant for v in got)
-                    holding_mli += s.state.lazy_cl.count(None) < len(s.state.lazy_cl)
-                    broken = CORRUPTIONS[steps % len(CORRUPTIONS)]
-                    undo = _corrupt(s.state, s.formula, broken, rng)
-                    if undo is not None:
-                        bad = _matches_reference(s.state, s.formula, blockers, where + (broken,))
-                        changed[broken] += bad != got
-                        undo()
-                    if kind in ("sat", "unsat"):
-                        break
-                    kind = s.step()
-                    steps += 1
-    assert {1, 4, 5, 7, 8} <= fired
+        for seed in seeds:
+            # "False" keeps each run's corruptions as they were pinned when
+            # these runs shared the loop with a second configuration
+            rng = random.Random("%s False %d" % (mode, seed))
+            s = Solver(
+                random_3sat(n, m, seed), SolverConfig(mode=mode, analyze=analyze, cb_threshold=1)
+            )
+            assert s.setup() is None
+            kind = "setup"
+            steps = 0
+            while True:
+                where = (mode, analyze, n, seed, kind)
+                got = _matches_reference(s.state, s.formula, where)
+                fired.update(v.invariant for v in got)
+                holding_mli += s.state.lazy_cl.count(None) < len(s.state.lazy_cl)
+                broken = CORRUPTIONS[steps % len(CORRUPTIONS)]
+                undo = _corrupt(s.state, s.formula, broken, rng)
+                if undo is not None:
+                    bad = _matches_reference(s.state, s.formula, where + (broken,))
+                    fired_broken.update(v.invariant for v in bad)
+                    changed[broken] += bad != got
+                    undo()
+                if kind in ("sat", "unsat"):
+                    break
+                kind = s.step()
+                steps += 1
+    assert {4, 5, 7} <= fired
+    assert 1 in fired_broken
     assert holding_mli > 0
     # the scripted states, which hold an MLI, take every kind of corruption too
     rng = random.Random(0)
     for make in (_trail_state, _s2_state):
         for broken in CORRUPTIONS * 8:
             st, f = make()
-            got = _matches_reference(st, f, False, broken)
+            got = _matches_reference(st, f, broken)
             if _corrupt(st, f, broken, rng) is not None:
-                changed[broken] += _matches_reference(st, f, False, broken) != got
+                changed[broken] += _matches_reference(st, f, broken) != got
     assert all(changed[k] for k in CORRUPTIONS), changed
 
 

@@ -1,12 +1,14 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import lazysat
-from lazysat.cli import main
+from lazysat.cli import build_parser, main
 from lazysat.formula import DimacsError, parse_dimacs, write_dimacs
 from lazysat.solver import Solver, SolverConfig
 from lazysat.testkit import random_3sat
@@ -364,7 +366,7 @@ def test_python_dash_o_gives_the_same_bench_output(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(lazysat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["-m", "lazysat", "bench", "--gen", "20", "91", "10", "0"]
-    argv += ["--analyze", "1", "--minimize", "--blockers"]
+    argv += ["--analyze", "1", "--minimize"]
     outputs = []
     for flags in ([], ["-O"]):
         done = subprocess.run(
@@ -377,3 +379,22 @@ def test_python_dash_o_gives_the_same_bench_output(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "gen", "bench"])
+def test_readme_synopsis_lists_the_parser_options(command):
+    # the README's synopsis block for a subcommand names exactly the long
+    # options its parser defines, --help aside
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(lazysat.__file__))))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"^```\n(lazysat %s .*?)^```" % command, text, re.M | re.S).group(1)
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        opt
+        for action in subparsers.choices[command]._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert set(re.findall(r"--[a-z][a-z-]*", block)) == defined

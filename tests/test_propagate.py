@@ -230,30 +230,27 @@ def mixed_formula(seed):
 
 def clause_fields(formula):
     return [
-        (c.lits, c.w0, c.w1, c.blocker, c.learned, c.index, c.search_pos) for c in formula.clauses
+        (c.lits, c.w0, c.w1, c.learned, c.index, c.search_pos) for c in formula.clauses
     ]
 
 
 def test_init_watches_watches_the_first_two_literals():
     # each clause of two or more literals joins the lists of lits[0] and
-    # lits[1], in clause order, and with blockers its blocker is w1; unit
-    # clauses are returned in order and never watched
+    # lits[1], in clause order; unit clauses are returned in order and never
+    # watched
     for seed in range(40):
-        for blockers in (False, True):
-            f, twin = mixed_formula(seed), mixed_formula(seed)
-            prop = Propagator(f, TrailState(f.num_vars), "lscb", Stats(), blockers)
-            units = prop.init_watches()
-            want_wl = [[] for _ in prop.wl]
-            for c in twin.clauses:
-                if len(c.lits) >= 2:
-                    want_wl[c.lits[0]].append(c.index)
-                    want_wl[c.lits[1]].append(c.index)
-                    assert (c.w0, c.w1) == (c.lits[0], c.lits[1])
-                    if blockers:
-                        c.blocker = c.w1
-            assert [c.index for c in units] == [c.index for c in twin.clauses if len(c.lits) < 2]
-            assert [[c.index for c in bucket] for bucket in prop.wl] == want_wl
-            assert clause_fields(f) == clause_fields(twin)
+        f, twin = mixed_formula(seed), mixed_formula(seed)
+        prop = Propagator(f, TrailState(f.num_vars), "lscb", Stats())
+        units = prop.init_watches()
+        want_wl = [[] for _ in prop.wl]
+        for c in twin.clauses:
+            if len(c.lits) >= 2:
+                want_wl[c.lits[0]].append(c.index)
+                want_wl[c.lits[1]].append(c.index)
+                assert (c.w0, c.w1) == (c.lits[0], c.lits[1])
+        assert [c.index for c in units] == [c.index for c in twin.clauses if len(c.lits) < 2]
+        assert [[c.index for c in bucket] for bucket in prop.wl] == want_wl
+        assert clause_fields(f) == clause_fields(twin)
 
 
 def rewatch_rig():
@@ -457,7 +454,6 @@ def reference_propagate_literal(prop, lit):
     level = st.level
     lazy_lvl = st.lazy_lvl
     lazy_mode = prop.lazy_mode
-    blockers = prop.blockers
     c1 = lit ^ 1
     lvl_c1 = level[c1 >> 1]
     watchers = prop.wl[c1]
@@ -466,19 +462,11 @@ def reference_propagate_literal(prop, lit):
     while i < n_w:
         clause = watchers[i]
         i += 1
-        if blockers:
-            b = clause.blocker
-            if b and val[b] == TRUE and level[b >> 1] <= lvl_c1:
-                watchers[j] = clause
-                j += 1
-                continue
         a = clause.w0
         c2 = clause.w1 if a == c1 else a
         vc2 = val[c2]
         if vc2 == TRUE:
             if not lazy_mode or level[c2 >> 1] <= lvl_c1 or lazy_lvl[c2 >> 1] <= lvl_c1:
-                if blockers:
-                    clause.blocker = c2
                 watchers[j] = clause
                 j += 1
                 continue
@@ -499,8 +487,6 @@ def reference_propagate_literal(prop, lit):
                 clause.w1 = r
             prop.wl[r].append(clause)
             if val[r ^ 1] != TRUE:
-                if blockers and val[r] == TRUE:
-                    clause.blocker = r
                 continue
         if vc2 == FALSE:
             while i < n_w:
@@ -554,7 +540,7 @@ def kernel_snapshot(solver, conflict):
         list(st.saved_phase),
         [name(c) for c in st.lazy_cl],
         list(st.lazy_lvl),
-        [(c.w0, c.w1, c.search_pos, c.blocker) for c in solver.formula.clauses],
+        [(c.w0, c.w1, c.search_pos) for c in solver.formula.clauses],
         [[c.index for c in bucket] for bucket in solver.prop.wl],
         solver.stats.as_dict(),
         dict(solver.violations),
@@ -584,11 +570,11 @@ def test_bcp_matches_reference_kernel():
     paths = (("off", False), ("fine", True))
     totals = {path: 0 for path in paths}
     mli = 0
-    for mode, blockers, (check_level, traced), (n, m, seed) in itertools.product(
-        MODES, (False, True), paths, ((30, 128, 0), (30, 128, 1), (50, 218, 2))
+    for mode, (check_level, traced), (n, m, seed) in itertools.product(
+        MODES, paths, ((30, 128, 0), (30, 128, 1), (50, 218, 2), (50, 218, 3))
     ):
-        case = (mode, blockers, check_level, n, seed)
-        cfg = SolverConfig(mode=mode, cb_threshold=1, blockers=blockers, check_level=check_level)
+        case = (mode, check_level, n, seed)
+        cfg = SolverConfig(mode=mode, cb_threshold=1, check_level=check_level)
         f = random_3sat(n, m, seed)
         want = recorded_solve(f.copy(), cfg, reference_bcp, traced)
         got = recorded_solve(f.copy(), cfg, Propagator.bcp, traced)

@@ -14,7 +14,7 @@ from lazysat.solver import SolverConfig as cfg
 from lazysat.state import UNDEF, backtrack
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
 from support import lit_from_int as lit
-from support import ZERO_IDS, replay_trace, s1_formula, solve_record, violations
+from support import ZERO_IDS, replay_trace, s1_formula, solve_record
 
 
 def test_empty_formula_is_sat():
@@ -86,7 +86,7 @@ def test_modes_agree_without_chronological_backtracks(monkeypatch):
         return d
 
     monkeypatch.setattr(solver_mod, "choose_backtrack_level", counted)
-    extras = ({}, {"analyze": 1, "minimize": True, "blockers": True})
+    extras = ({}, {"analyze": 1, "minimize": True})
     control = 0
     for n, m, seed in [(30, 128, s) for s in range(5)] + [(50, 218, 0)]:
         f = random_3sat(n, m, seed)
@@ -276,11 +276,11 @@ def test_solver_leaves_no_reference_cycle():
     gc.disable()
     try:
         # default flags, fine checks, and the analysis flags of the
-        # checked-30 workload (which minimizes with GC off) plus blockers
+        # checked-30 workload (which minimizes with GC off)
         variants = (
             {},
             {"check_level": "fine"},
-            {"analyze": 1, "minimize": True, "blockers": True, "check_level": "coarse"},
+            {"analyze": 1, "minimize": True, "check_level": "coarse"},
         )
         for mode, flags in itertools.product(("ncb", "wcb", "rscb", "lscb"), variants):
             s = Solver(f.copy(), cfg(mode=mode, **flags))
@@ -496,10 +496,10 @@ def test_a_decision_adds_no_checker_report():
     def pairs(s):
         return {(v.invariant, v.subject) for v in check_ids(s.state, s.formula)}
 
-    decisions = fewer = 0
-    grid = itertools.product(ZERO_IDS, (False, True), (1, 2), (False, True))
-    for (mode, blockers, analyze, minimize), seed in itertools.product(grid, range(7000, 7003)):
-        c = cfg(mode, analyze, cb_threshold=1, minimize=minimize, blockers=blockers)
+    decisions = 0
+    grid = itertools.product(ZERO_IDS, (1, 2), (False, True))
+    for (mode, analyze, minimize), seed in itertools.product(grid, range(7000, 7003)):
+        c = cfg(mode, analyze, cb_threshold=1, minimize=minimize)
         s = Solver(random_3sat(30, 128, seed), c)
         assert s.setup() is None
         while True:
@@ -513,10 +513,9 @@ def test_a_decision_adds_no_checker_report():
             before = pairs(s)
             s.state.enqueue_decision(s.decide())
             after = pairs(s)
-            assert after <= before, (mode, blockers, analyze, minimize, seed, after - before)
+            assert after <= before, (mode, analyze, minimize, seed, after - before)
             decisions += 1
-            fewer += after < before
-    assert decisions > 0 and fewer > 0, (decisions, fewer)
+    assert decisions > 0
 
 
 def _mixed_formula(seed):
@@ -569,17 +568,6 @@ def test_mixed_clause_lengths_fine_checked_trace_replays():
             assert head == s.state.head
 
 
-def test_blockers_variant_keeps_verdicts_and_inv8():
-    for seed in range(10):
-        f = random_3sat(12, 51, seed)
-        expect = brute_force(f)
-        s = Solver(f.copy(), cfg(mode="lscb", cb_threshold=1, blockers=True))
-        v = s.solve()
-        assert v.sat == expect
-        if v.sat:  # an unsatisfiable run ends in a (legitimate) conflict state
-            assert violations(s.state, s.formula, 8) == []
-
-
 def test_stats_deterministic_and_monotone():
     f = random_3sat(16, 68, 4)
     a = Solver(f.copy(), cfg(mode="lscb", cb_threshold=1))
@@ -609,21 +597,16 @@ def test_flag_combination_soak_against_oracle():
         for seed in range(8):
             f = random_3sat(n, m, 70_000 + seed)
             expect = brute_force(f)
-            for mode, minimize, blockers in itertools.product(
-                ("ncb", "wcb", "rscb", "lscb"),
-                (False, True),
-                (False, True),
-            ):
+            for mode, minimize in itertools.product(("ncb", "wcb", "rscb", "lscb"), (False, True)):
                 c = cfg(
                     mode=mode,
                     analyze=1 if minimize else 2,
                     cb_threshold=1,
                     minimize=minimize,
-                    blockers=blockers,
                     check_level="coarse",
                 )
                 s = Solver(f.copy(), c)
-                assert s.solve().sat == expect, (n, seed, mode, minimize, blockers)
+                assert s.solve().sat == expect, (n, seed, mode, minimize)
                 assert s.violations.get(2, 0) == 0
                 assert s.violations.get(3, 0) == 0
 

@@ -167,13 +167,13 @@ def test_trace_replay_reconstructs_final_trail():
     reimplications = 0
     kinds = set()
     refalsified = 0
-    # extras: blockers and minimization; seed 18 re-falsifies a learned
-    # clause under lscb with analyze 1, which gives a null conflict clause.
+    # seed 18 re-falsifies a learned clause under lscb with analyze 1, which
+    # gives a null conflict clause.
     grid = itertools.product(("ncb", "wcb", "rscb", "lscb"), (2, 1), (False, True), (3, 9, 17, 18))
-    for mode, analyze, extras, seed in grid:
+    for mode, analyze, minimize, seed in grid:
         events = []
         f = random_3sat(20, 91, seed)
-        cfg = SolverConfig(mode, analyze, cb_threshold=1, minimize=extras, blockers=extras)
+        cfg = SolverConfig(mode, analyze, cb_threshold=1, minimize=minimize)
         s = Solver(f.copy(), cfg, trace=events.append)
         s.solve()
         reimplications += s.stats.reimplications
