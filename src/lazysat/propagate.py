@@ -44,13 +44,20 @@ class Propagator:
 
     # -- watch bookkeeping -------------------------------------------------
 
-    def watch(self, clauses):
-        """Append each clause of two or more literals, in order, to the lists
-        of its two watched literals, and return the unit clauses, which are
-        never watched (both slots hold their literal)."""
+    def watch(self, clause, lit0, lit1):
+        """Watch a clause that no list holds yet at two distinct literals: set
+        both slots and append it to both lists (``rewatch`` moves a watch)."""
+        clause.w0 = lit0
+        clause.w1 = lit1
+        self.wl[lit0].append(clause)
+        self.wl[lit1].append(clause)
+
+    def init_watches(self):
+        """Watch each stored clause at the two literals its slots hold, in clause
+        order, and return the unit clauses, which are never watched."""
         wl = self.wl
         units = []
-        for clause in clauses:
+        for clause in self.formula.clauses:
             w0 = clause.w0
             w1 = clause.w1
             if w0 == w1:
@@ -59,11 +66,6 @@ class Propagator:
             wl[w0].append(clause)
             wl[w1].append(clause)
         return units
-
-    def init_watches(self):
-        """Watch the stored clauses, in clause order, and return the unit
-        clauses, which are never watched."""
-        return self.watch(self.formula.clauses)
 
     def rewatch(self, clause, lit0, lit1):
         """Point the clause's watches at two specific literals, fixing the lists.
@@ -144,7 +146,6 @@ class Propagator:
         level = st.level
         lazy_lvl = st.lazy_lvl
         reason = st.reason
-        saved_phase = st.saved_phase
         trail = st.trail
         wl = self.wl
         lazy_mode = self.lazy_mode
@@ -213,7 +214,6 @@ class Propagator:
                 val[c2 ^ 1] = FALSE
                 level[v] = lvl_r
                 reason[v] = clause
-                saved_phase[v] = c2 & 1
                 trail.append(c2)
             del watchers[j:]
             if trace is not None:

@@ -193,9 +193,7 @@ class Solver:
             clause = self.formula.store(learned.lits, learned=True)
             self.stats.learned += 1
             if len(learned.lits) > 1:
-                clause.w0 = lit
-                clause.w1 = self._second_watch_lit(learned)
-                self.prop.watch((clause,))
+                self.prop.watch(clause, lit, self._second_watch_lit(learned))
         st.enqueue_implied(lit, clause, learned.second_level)
         if st.trace is not None:
             st.trace(
@@ -218,7 +216,8 @@ class Solver:
     # -- main loop -----------------------------------------------------------
 
     def solve(self) -> Verdict:
-        assert not self._solved, "a solver instance runs once"
+        if self._solved:
+            raise RuntimeError("a solver instance runs once")
         self._solved = True
         verdict = self.setup()
         while verdict is None:

@@ -39,7 +39,7 @@ class TrailState:
         self.reason = [None] * n  # per variable: implying clause or None
         self.lazy_cl = [None] * n  # per variable: stored MLI clause or None
         self.lazy_lvl = [INF] * n  # cached level of lazy_cl minus its satisfied literal
-        self.saved_phase = [1] * n  # sign bit of last assignment; initial phase negative
+        self.saved_phase = [1] * n  # sign bit when last unassigned (backtrack); initially negative
         self.activity = [0.0] * n  # per variable: VSIDS activity
         self.heap = []  # no activity yet: the cursor reaches every variable
         self.queued = [False] * n  # per variable: has a current heap entry
@@ -113,7 +113,6 @@ class TrailState:
         self.val[lit ^ 1] = FALSE
         self.level[v] = lvl
         self.reason[v] = reason
-        self.saved_phase[v] = lit & 1
         self.trail.append(lit)
 
     def enqueue_decision(self, lit):
@@ -173,11 +172,11 @@ def backtrack(state, d, mode, stats):
     * ``lscb``  a removed literal whose stored MLI's residual level survives
                 is reimplied at the end of the queue, lowest level first.
 
-    Every mode requeues each variable it unassigns that lacks a current heap
-    entry and has positive activity or lies below ``TrailState.cursor``,
-    which keeps the invariant that ``TrailState.rebuild_heap`` states.  The
-    cursor never moves back, so a zero-activity variable at or above it
-    waits for the cursor's scan instead.
+    Every mode saves the sign of each variable it unassigns as its phase,
+    and requeues it if it lacks a current heap entry and has positive
+    activity or lies below ``TrailState.cursor``, which keeps the invariant
+    that ``TrailState.rebuild_heap`` states.  The cursor never moves back, so
+    a zero-activity variable at or above it waits for the cursor's scan.
 
     Every literal before the decision that opened level d + 1 has a level
     of at most d, so only the trail from there on is scanned and compacted.
@@ -195,6 +194,7 @@ def backtrack(state, d, mode, stats):
     queued = st.queued
     activity = st.activity
     cursor = st.cursor
+    saved_phase = st.saved_phase
 
     start = trail.index(st.decisions[d])
     # rscb rewinds the head to the start; elsewhere kept literals keep their side of it
@@ -220,6 +220,7 @@ def backtrack(state, d, mode, stats):
         val[lit ^ 1] = UNDEF
         level[v] = INF
         st.reason[v] = None
+        saved_phase[v] = lit & 1
         if not queued[v] and (v < cursor or activity[v]):
             queued[v] = True
             heappush(heap, (-activity[v], v))

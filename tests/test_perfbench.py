@@ -2,6 +2,10 @@ import ast
 import importlib
 import os
 
+from lazysat.cli import BENCH_STATS
+from lazysat.solver import MODES
+from support import ZERO_IDS
+
 RUN_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "run.py")
 
 # Patched by install_spans but gone since BCP runs in one frame; its span
@@ -44,3 +48,17 @@ def test_perfbench_spans_resolve_in_the_package():
         if not found:
             missing.add((name, attr))
     assert missing == KNOWN_MISSING
+
+
+def test_perfbench_copies_match_the_package():
+    # run.py keeps its own copies of these constants; read them without
+    # importing it, so a drift fails here rather than in the benchmark
+    with open(RUN_PY) as fh:
+        tree = ast.parse(fh.read())
+    copies = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) in ("MODES", "GUARANTEED", "BENCH_ROW_FIELDS")
+    }
+    assert copies == {"MODES": MODES, "GUARANTEED": ZERO_IDS, "BENCH_ROW_FIELDS": BENCH_STATS}

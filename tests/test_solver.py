@@ -1,6 +1,10 @@
 import gc
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -131,6 +135,64 @@ def test_decide_phase_saving_follows_last_assignment():
     s.state.enqueue_decision(lit(1))
     backtrack(s.state, 0, "lscb", s.stats)
     assert lit_to_int(s.decide()) == 1  # saved positive phase
+
+
+def test_decisions_take_the_last_sign_their_variable_had():
+    # phase saving against the trace: a decision's sign is the one its
+    # variable last had in a decide, imply or reimply event, else negative
+    decisions = 0
+    for mode, strategy, seed in itertools.product(solver_mod.MODES, (1, 2), range(6)):
+        events = []
+        config = cfg(mode=mode, analyze=strategy, cb_threshold=1)
+        Solver(random_3sat(30, 128, seed), config, trace=events.append).solve()
+        last = {}
+        for e in events:
+            if e["kind"] == "decide":
+                want = last.get(abs(e["lit"]), -1)
+                assert (e["lit"] > 0) == (want > 0), (mode, strategy, seed, e)
+                decisions += 1
+            if e["kind"] in ("decide", "imply", "reimply"):
+                last[abs(e["lit"])] = e["lit"]
+    assert decisions > 500
+
+
+def test_a_second_solve_raises():
+    s = Solver(random_3sat(20, 91, 0))
+    s.solve()
+    with pytest.raises(RuntimeError, match="runs once"):
+        s.solve()
+
+
+def test_a_second_solve_raises_under_python_dash_o():
+    # the guard is no assert, so -O keeps it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver_mod.__file__)))
+    code = (
+        "from lazysat import Solver\n"
+        "from lazysat.testkit import random_3sat\n"
+        "s = Solver(random_3sat(20, 91, 0))\n"
+        "s.solve()\n"
+        "s.solve()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert "RuntimeError: a solver instance runs once" in done.stderr, done.stderr
+
+
+def test_readme_library_snippet_runs():
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(solver_mod.__file__))))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", text, re.M | re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    assert scope["verdict"].sat
+    assert scope["verdict"].model == {1: False, 2: False, 3: True}
 
 
 def test_decide_names_a_broken_heap():
