@@ -18,11 +18,15 @@ from .state import FALSE
 
 @dataclass
 class LearnedClause:
-    """Result of conflict analysis: literals falsified and implied by the formula."""
+    """Result of conflict analysis: literals falsified and implied by the formula.
+
+    The clause names its own watch pair: ``asserting`` and ``second``.
+    """
 
     lits: list  # encoded literals, resolution order
     level: int  # max level over the clause
     second_level: int  # second-highest distinct level (0 if |lits| <= 1)
+    second: int | None  # first literal at second_level other than `asserting`; None if none
     asserting: int  # the unique literal at `level`
     steps: list = field(default_factory=list)  # (pivot trail literal, "reason" | "lazy")
 
@@ -44,6 +48,11 @@ def analyze(state, lits, strategy=2):
     what remains is in the order of repeated binary resolution: the
     resolvent's literals first, then the reason's new ones.  An asserting
     conflict comes back as an unchanged copy of ``lits``, with no steps.
+
+    ``seen`` is the state's mark buffer, so a call allocates nothing per
+    declared variable; every exit leaves it all zero.  The learned clause
+    names its second level and the literal to watch there, found in one
+    pass by ``TrailState.residual``.
     """
     lits = list(lits)
     level = state.level
@@ -54,55 +63,54 @@ def analyze(state, lits, strategy=2):
     checked = state.checked
     if checked:
         assert all(val[x] == FALSE for x in lits), "conflict clause must be falsified"
-    seen = bytearray(state.num_vars + 1)
-    for x in lits:
-        seen[x >> 1] = 1
-    dlev, n = _top_level(lits, seen, level)
-    i = len(trail)
-    steps = []
-    while True:
-        i -= 1
-        t = trail[i]
-        v = t >> 1
-        while not seen[v] or level[v] != dlev:
+    seen = state.seen
+    try:
+        for x in lits:
+            seen[x >> 1] = 1
+        dlev, n = _top_level(lits, seen, level)
+        i = len(trail)
+        steps = []
+        while True:
             i -= 1
             t = trail[i]
             v = t >> 1
-        lazy = lazy_cl[v] if lazy_cl is not None else None
-        if n == 1 and lazy is None:
-            break
-        if lazy is not None:
-            reason = lazy
-            steps.append((t, "lazy"))
-        else:
-            reason = reasons[v]
-            assert reason is not None, "analysis pivot has no reason clause"
-            steps.append((t, "reason"))
-        for y in reason.lits:
-            u = y >> 1
-            if not seen[u]:
-                seen[u] = 1
-                lits.append(y)
-                if checked:
-                    # the state is read-only here, so once falsified is enough
-                    assert val[y] == FALSE, "resolvent must stay falsified"
-                if level[u] == dlev:
-                    n += 1
-        seen[v] = 0
-        n -= 1
-        if n == 0:
-            dlev, n = _top_level(lits, seen, level)
-            i = len(trail)
-    if steps:
-        lits = [x for x in lits if seen[x >> 1]]
+            while not seen[v] or level[v] != dlev:
+                i -= 1
+                t = trail[i]
+                v = t >> 1
+            lazy = lazy_cl[v] if lazy_cl is not None else None
+            if n == 1 and lazy is None:
+                break
+            if lazy is not None:
+                reason = lazy
+                steps.append((t, "lazy"))
+            else:
+                reason = reasons[v]
+                assert reason is not None, "analysis pivot has no reason clause"
+                steps.append((t, "reason"))
+            for y in reason.lits:
+                u = y >> 1
+                if not seen[u]:
+                    seen[u] = 1
+                    lits.append(y)
+                    if checked:
+                        # the state is read-only here, so once falsified is enough
+                        assert val[y] == FALSE, "resolvent must stay falsified"
+                    if level[u] == dlev:
+                        n += 1
+            seen[v] = 0
+            n -= 1
+            if n == 0:
+                dlev, n = _top_level(lits, seen, level)
+                i = len(trail)
+        if steps:
+            lits = [x for x in lits if seen[x >> 1]]
+    finally:
+        for x in lits:  # every marked variable is in lits
+            seen[x >> 1] = 0
     pivot = t ^ 1
-    return LearnedClause(
-        lits=lits,
-        level=dlev,
-        second_level=state.residual_level(lits, pivot),
-        asserting=pivot,
-        steps=steps,
-    )
+    second_level, second = state.residual(lits, pivot)
+    return LearnedClause(lits, dlev, second_level, second, pivot, steps)
 
 
 def _top_level(lits, seen, level):
@@ -173,10 +181,7 @@ def minimize(state, learned):
     ]
     if len(kept) == len(learned.lits):
         return learned
+    second_level, second = state.residual(kept, learned.asserting)
     return LearnedClause(
-        lits=kept,
-        level=learned.level,
-        second_level=state.residual_level(kept, learned.asserting),
-        asserting=learned.asserting,
-        steps=learned.steps,
+        kept, learned.level, second_level, second, learned.asserting, learned.steps
     )

@@ -142,7 +142,7 @@ def check_ids(state, formula):
         if not rest_false:
             out.append(Violation(6, who, "stored MLI rest not falsified"))
             continue
-        residual = state.residual_level(clause.lits, lit)
+        residual = state.residual(clause.lits, lit)[0]
         if not residual < level[v]:
             out.append(
                 Violation(6, who, "stored MLI level %s not below %s" % (residual, level[v]))
@@ -169,7 +169,7 @@ def _watch_reports(out, state, clause, c1, c2, c2_in_prefix):
     lazy_ok = False
     if c2_sat:
         mli = state.lazy_cl[c2 >> 1]
-        lazy_ok = mli is not None and state.residual_level(mli.lits, c2) <= lvl1
+        lazy_ok = mli is not None and state.residual(mli.lits, c2)[0] <= lvl1
     where = "C%d" % clause.index
     ctx = "c1=%d@%s c2=%d@%s" % (lit_to_int(c1), lvl1, lit_to_int(c2), lvl2)
     if c2_in_prefix:

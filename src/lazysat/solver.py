@@ -178,9 +178,10 @@ class Solver:
     def install_learned(self, learned, stored):
         """Store the learned clause, watch it, and enqueue its asserting literal.
 
-        ``stored``, the stored clause with these literals or None, is not
-        re-added; its watches are repointed at the asserting and a
-        second-level literal, so that the watch pair shows the clause level.
+        The clause is watched at its asserting literal and at
+        ``learned.second``, a literal of its second level, so that the watch
+        pair shows the clause level.  ``stored``, the stored clause with
+        these literals or None, is not re-added; its watches are repointed.
         """
         st = self.state
         lit = learned.asserting
@@ -188,12 +189,12 @@ class Solver:
         if stored is not None:
             # a conflict from BCP, so a watched clause of at least two literals
             clause = stored
-            self.prop.rewatch(clause, lit, self._second_watch_lit(learned))
+            self.prop.rewatch(clause, lit, learned.second)
         else:
             clause = self.formula.store(learned.lits, learned=True)
             self.stats.learned += 1
             if len(learned.lits) > 1:
-                self.prop.watch(clause, lit, self._second_watch_lit(learned))
+                self.prop.watch(clause, lit, learned.second)
         st.enqueue_implied(lit, clause, learned.second_level)
         if st.trace is not None:
             st.trace(
@@ -205,13 +206,6 @@ class Solver:
                 }
             )
         return clause
-
-    def _second_watch_lit(self, learned):
-        level = self.state.level
-        for x in learned.lits:
-            if x != learned.asserting and level[x >> 1] == learned.second_level:
-                return x
-        raise AssertionError("no literal at the second level")
 
     # -- main loop -----------------------------------------------------------
 

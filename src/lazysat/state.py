@@ -8,7 +8,8 @@ than every finite level.  It is the level of unassigned variables and the
 MLI test compare against ``lazy_lvl`` with no separate check for one.
 
 Per variable the state keeps a level, a reason, a stored missed lower
-implication with its cached level, a saved phase and a VSIDS activity.
+implication with its cached level, a saved phase, a VSIDS activity and
+conflict analysis's mark.
 Decisions come from two tiers: a heap holds the variables with positive
 activity, and a monotone index cursor reaches the zero-activity ones, which
 VSIDS orders by index alone.  Trail positions are not stored: a literal is
@@ -41,6 +42,7 @@ class TrailState:
         self.lazy_lvl = [INF] * n  # cached level of lazy_cl minus its satisfied literal
         self.saved_phase = [1] * n  # sign bit when last unassigned (backtrack); initially negative
         self.activity = [0.0] * n  # per variable: VSIDS activity
+        self.seen = bytearray(n)  # per variable: analysis marks, all zero between analyses
         self.heap = []  # no activity yet: the cursor reaches every variable
         self.queued = [False] * n  # per variable: has a current heap entry
         self.cursor = 1  # the index tier's scan resumes here
@@ -81,19 +83,23 @@ class TrailState:
 
     # -- queries ---------------------------------------------------------
 
-    def residual_level(self, lits, lit):
-        """Max level over the literals other than lit; 0 for an empty rest."""
+    def residual(self, lits, lit):
+        """Max level over the literals other than lit, and the first of them
+        in ``lits`` at that level: a learned clause's second level and the
+        literal it is watched at beside lit.  An empty rest gives (0, None)."""
         level = self.level
         best = 0
+        first = None
         for x in lits:
             if x != lit:
                 lx = level[x >> 1]
-                if lx > best:
+                if lx > best or first is None:
                     best = lx
-        return best
+                    first = x
+        return best, first
 
     def _implied_level(self, lits, lit, message):
-        """``residual_level`` in the same pass that asserts the rest falsified."""
+        """``residual``'s level in the same pass that asserts the rest falsified."""
         val = self.val
         level = self.level
         best = 0
@@ -131,8 +137,9 @@ class TrailState:
         if self.checked:
             assert self.val[lit] == UNDEF, "implying an assigned variable"
             assert lit in reason.lits, "reason does not contain the implied literal"
-            rest_level = self._implied_level(reason.lits, lit, "reason not unit under the trail")
-            assert lvl == rest_level, "implied level mismatch"
+            assert lvl == self._implied_level(
+                reason.lits, lit, "reason not unit under the trail"
+            ), "implied level mismatch"
         self._assign(lit, lvl, reason)
         if self.trace is not None:
             self.trace(
@@ -144,8 +151,9 @@ class TrailState:
         if self.checked:
             assert self.val[lit] == TRUE, "MLI target must be satisfied"
             assert lit in clause.lits, "MLI clause must contain its literal"
-            rest_level = self._implied_level(clause.lits, lit, "MLI rest must be falsified")
-            assert lvl == rest_level, "MLI level mismatch"
+            assert lvl == self._implied_level(
+                clause.lits, lit, "MLI rest must be falsified"
+            ), "MLI level mismatch"
             assert lvl < self.level[lit >> 1], "MLI must be strictly lower than the literal"
             assert lvl < self.lazy_lvl[lit >> 1], "MLI must improve the stored one"
         v = lit >> 1

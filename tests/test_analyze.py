@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -114,6 +115,28 @@ def test_analyze_asserts_resolvent_stays_falsified():
         st.checked = True
         with pytest.raises(AssertionError, match="^resolvent must stay falsified$"):
             analyze(st, conflict.lits, strategy)
+        assert not any(st.seen)  # a raising analysis clears its marks too
+
+
+def test_analyze_allocates_nothing_per_declared_variable():
+    # the marks live on the state, so one conflict costs memory in the
+    # literals it touches, not in the 200,000 variables the header declares
+    n = 200_000
+    f = Formula(n)
+    r2 = f.add_clause([2, -1])
+    conflict = f.add_clause([-2, -1])
+    st = TrailState(n)
+    st.enqueue_decision(lit(1))
+    st.enqueue_implied(lit(2), r2, 1)
+    tracemalloc.start()
+    try:
+        learned = analyze(st, conflict.lits, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ints(learned.lits) == [-1]
+    assert peak < 4096, peak
+    assert not any(st.seen)
 
 
 def test_analyze1_reconflict_loop_matches_analyze2():
@@ -138,11 +161,12 @@ def test_minimize_self_subsuming_direct():
     from lazysat.analyze import LearnedClause
 
     learned = LearnedClause(
-        lits=lits(-3, -1, -2), level=2, second_level=1, asserting=lit(-3)
+        lits=lits(-3, -1, -2), level=2, second_level=1, second=lit(-1), asserting=lit(-3)
     )
     smaller = minimize(st, learned)
     assert ints(smaller.lits) == [-3, -1]
     assert smaller.asserting == learned.asserting
+    assert (smaller.second_level, smaller.second) == (1, lit(-1))
 
 
 def test_minimize_fixpoint_when_nothing_removable():
@@ -152,7 +176,9 @@ def test_minimize_fixpoint_when_nothing_removable():
     st.enqueue_decision(lit(2))
     from lazysat.analyze import LearnedClause
 
-    learned = LearnedClause(lits=lits(-2, -1), level=2, second_level=1, asserting=lit(-2))
+    learned = LearnedClause(
+        lits=lits(-2, -1), level=2, second_level=1, second=lit(-1), asserting=lit(-2)
+    )
     assert minimize(st, learned) is learned
 
 
@@ -248,6 +274,15 @@ def test_pivot_selection_matches_trail_scan(monkeypatch):
     assert checked[0] > 50
 
 
+def reference_second(state, lits, asserting):
+    """The second level of a learned clause and the literal to watch there,
+    by two scans: the max level over the rest, then its first literal at it."""
+    level = state.level
+    rest = [x for x in lits if x != asserting]
+    second_level = max((level[x >> 1] for x in rest), default=0)
+    return second_level, next((x for x in rest if level[x >> 1] == second_level), None)
+
+
 def reference_analyze(state, conflict, strategy=2):
     """First-UIP analysis as repeated binary resolution: a new resolvent per
     step, its pivot the latest trail literal at the resolvent's top level."""
@@ -270,13 +305,8 @@ def reference_analyze(state, conflict, strategy=2):
         trail_lit = pivot ^ 1
         lazy = state.lazy_cl[pivot >> 1] if strategy == 2 else None
         if n == 1 and lazy is None:
-            return LearnedClause(
-                lits=d_lits,
-                level=dlev,
-                second_level=state.residual_level(d_lits, pivot),
-                asserting=pivot,
-                steps=steps,
-            )
+            second_level, second = reference_second(state, d_lits, pivot)
+            return LearnedClause(d_lits, dlev, second_level, second, pivot, steps)
         if lazy is not None:
             reason = lazy
             kind = "lazy"
@@ -289,19 +319,27 @@ def reference_analyze(state, conflict, strategy=2):
 
 def test_analyze_matches_reference_resolution(monkeypatch):
     # the trail walk learns exactly the clause of repeated resolution, on
-    # every conflict of every mode, strategy and minimization setting
+    # every conflict of every mode, strategy and minimization setting, and
+    # names the same second watch before and after minimization
     seen = Counter()
 
     def check(st, conflict, strategy, learned):
+        assert not any(st.seen)  # the marks are cleared on return
         want = reference_analyze(st, conflict, strategy)
         assert learned.lits == want.lits
         assert (learned.level, learned.second_level) == (want.level, want.second_level)
+        assert learned.second == want.second
         assert learned.asserting == want.asserting
         assert learned.steps == want.steps
         seen["analyses"] += 1
         seen["lazy_steps"] += sum(1 for _, kind in want.steps if kind == "lazy")
         if want.level < max(st.level[x >> 1] for x in conflict):
             seen["level_drops"] += 1
+
+    def check_minimized(solver, pre, post):
+        want = reference_second(solver.state, post.lits, post.asserting)
+        assert (post.second_level, post.second) == want
+        seen["minimized"] += post is not pre
 
     capture_analyses(monkeypatch, check)
     for mode in MODES:
@@ -312,8 +350,11 @@ def test_analyze_matches_reference_resolution(monkeypatch):
                     cfg = SolverConfig(
                         mode=mode, analyze=strategy, minimize=minimize, cb_threshold=1
                     )
-                    Solver(f, cfg).solve()
+                    s = Solver(f, cfg)
+                    s.on_learn = check_minimized
+                    s.solve()
     assert seen["analyses"] > 1000
+    assert seen["minimized"] > 0
     assert seen["lazy_steps"] > 0
     assert seen["level_drops"] > 0
 

@@ -270,7 +270,7 @@ def _reference_clause_scan(state, formula):
             if not (c2_sat and lvl2 <= lvl1):
                 out.append(Violation(5, where, "other watch not satisfied at or below; " + ctx))
             mli = state.lazy_cl[c2 >> 1] if c2_sat else None
-            residual = state.residual_level(mli.lits, c2) if mli is not None else INF
+            residual = state.residual(mli.lits, c2)[0] if mli is not None else INF
             lazy_ok = c2_sat and (lvl2 <= lvl1 or residual <= lvl1)
             if not lazy_ok:
                 out.append(Violation(7, where, "no low satisfaction nor stored MLI; " + ctx))

@@ -13,7 +13,7 @@ import lazysat.solver as solver_mod
 from lazysat.analyze import LearnedClause
 from lazysat.checker import check_ids
 from lazysat.formula import Formula, lit_to_int
-from lazysat.solver import Solver, SolverConfig, Stats, choose_backtrack_level
+from lazysat.solver import MODES, Solver, SolverConfig, Stats, choose_backtrack_level
 from lazysat.solver import SolverConfig as cfg
 from lazysat.state import UNDEF, backtrack
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
@@ -54,7 +54,7 @@ def test_config_validation():
 
 
 def _learned(level, second):
-    return LearnedClause(lits=[], level=level, second_level=second, asserting=0)
+    return LearnedClause(lits=[], level=level, second_level=second, second=None, asserting=0)
 
 
 def test_choose_backtrack_level_ncb_backjumps():
@@ -163,9 +163,20 @@ def test_a_second_solve_raises():
         s.solve()
 
 
+def run_python(code, *flags):
+    """Run code in a fresh interpreter with the given flags, on this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver_mod.__file__)))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 def test_a_second_solve_raises_under_python_dash_o():
     # the guard is no assert, so -O keeps it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(solver_mod.__file__)))
     code = (
         "from lazysat import Solver\n"
         "from lazysat.testkit import random_3sat\n"
@@ -173,15 +184,35 @@ def test_a_second_solve_raises_under_python_dash_o():
         "s.solve()\n"
         "s.solve()\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    done = run_python(code, "-O")
     assert done.returncode == 1
     assert "RuntimeError: a solver instance runs once" in done.stderr, done.stderr
+
+
+def test_checked_implications_scan_nothing_under_python_dash_o():
+    # enqueue_implied and set_lazy scan the reason only for their asserts,
+    # so -O, which strips the asserts, strips the scans with them
+    code = (
+        "from lazysat import Solver, SolverConfig\n"
+        "from lazysat.state import TrailState\n"
+        "from lazysat.testkit import random_3sat\n"
+        "real = TrailState._implied_level\n"
+        "calls = [0]\n"
+        "def counted(*args):\n"
+        "    calls[0] += 1\n"
+        "    return real(*args)\n"
+        "TrailState._implied_level = counted\n"
+        "for seed in range(5):\n"
+        "    for mode in ('ncb', 'wcb', 'rscb', 'lscb'):\n"
+        "        config = SolverConfig(mode=mode, cb_threshold=1, check_level='coarse')\n"
+        "        Solver(random_3sat(30, 128, seed), config).solve()\n"
+        "print(calls[0])\n"
+    )
+    optimized = run_python(code, "-O")
+    plain = run_python(code)
+    assert optimized.returncode == plain.returncode == 0, optimized.stderr + plain.stderr
+    assert int(optimized.stdout) == 0
+    assert int(plain.stdout) > 0  # the sweep does make checked implications
 
 
 def test_readme_library_snippet_runs():
@@ -462,6 +493,39 @@ def test_install_unit_learned_asserts_at_level_zero():
     assert verdict.sat
     units = [c for c in s.formula.clauses if c.learned and len(c.lits) == 1]
     assert units and units[0].to_ints() == [1]
+
+
+def test_installed_learned_clauses_watch_asserting_and_second(monkeypatch):
+    # install_learned watches each learned clause at its asserting literal
+    # and at learned.second, in its rewatch branch and its watch branch;
+    # the sweep reaches both, a unit learned clause and a second level of 0
+    real = Solver.install_learned
+    cases = Counter()
+
+    def install(self, learned, stored):
+        clause = real(self, learned, stored)
+        wl = self.prop.wl
+        asserting = learned.asserting
+        second = learned.second
+        if len(learned.lits) == 1:
+            assert second is None and learned.second_level == 0
+            assert all(c is not clause for c in wl[asserting])
+            cases["unit"] += 1
+            return clause
+        assert {clause.w0, clause.w1} == {asserting, second}
+        assert any(c is clause for c in wl[asserting])
+        assert any(c is clause for c in wl[second])
+        assert self.state.level[second >> 1] == learned.second_level
+        cases["rewatch" if stored is not None else "watch"] += 1
+        cases["second level 0"] += learned.second_level == 0
+        return clause
+
+    monkeypatch.setattr(Solver, "install_learned", install)
+    for mode, strategy, minimize in itertools.product(MODES, (1, 2), (False, True)):
+        for seed in range(3):
+            config = cfg(mode=mode, analyze=strategy, minimize=minimize, cb_threshold=1)
+            Solver(random_3sat(30, 128, seed), config).solve()
+    assert all(cases[k] > 0 for k in ("rewatch", "watch", "unit", "second level 0")), cases
 
 
 def test_verdicts_match_oracle_all_modes_and_strategies():

@@ -121,12 +121,12 @@ def test_set_lazy_records_and_improves():
     st.set_lazy(lit(4), m1, 2)
     assert st.val[lit(4)] == TRUE
     assert st.lazy_cl[4] is m1
-    assert st.lazy_lvl[4] == st.residual_level(m1.lits, lit(4)) == 2
+    assert st.lazy_lvl[4] == st.residual(m1.lits, lit(4))[0] == 2
     with pytest.raises(AssertionError):
         st.set_lazy(lit(4), m2, 0)  # not m2's residual level
     st.set_lazy(lit(4), m2, 1)
     assert st.lazy_cl[4] is m2
-    assert st.lazy_lvl[4] == st.residual_level(m2.lits, lit(4)) == 1
+    assert st.lazy_lvl[4] == st.residual(m2.lits, lit(4))[0] == 1
     # a worse candidate is a contract violation in checked mode
     with pytest.raises(AssertionError):
         st.set_lazy(lit(4), m1, 2)
@@ -138,7 +138,7 @@ def test_set_lazy_requires_mli_shape():
     st = TrailState(3, checked=True)
     st.enqueue_decision(lit(3))
     with pytest.raises(AssertionError):
-        st.set_lazy(lit(3), c, st.residual_level(c.lits, lit(3)))  # rest not falsified
+        st.set_lazy(lit(3), c, st.residual(c.lits, lit(3))[0])  # rest not falsified
 
 
 def test_s1_replay_trail_values():
