@@ -16,7 +16,7 @@ import sys
 import time
 
 from .formula import parse_dimacs, write_dimacs
-from .solver import CHECK_LEVELS, MODES, Solver, SolverConfig, Stats
+from .solver import CHECK_LEVELS, MODES, Solver, SolverConfig
 from .testkit import random_3sat, satlib_clause_count
 
 EXIT_SAT = 10
@@ -118,18 +118,16 @@ def cmd_solve(args):
             trace = make_trace_writer(outputs.enter_context(open(args.trace, "w")))
         solver = Solver(formula, cfg, trace=trace)
         verdict = solver.solve()
-        stats = solver.stats
+        counts = solver.stats.as_dict()
         if stats_fh is not None:
             writer = csv.writer(stats_fh, lineterminator="\n")
-            writer.writerow(("file", "mode", "analyze", "verdict") + Stats.FIELDS)
-            writer.writerow(
-                [args.file, cfg.mode, cfg.analyze, "SAT" if verdict.sat else "UNSAT"]
-                + [getattr(stats, name) for name in Stats.FIELDS]
-            )
+            writer.writerow(("file", "mode", "analyze", "verdict", *counts))
+            answer = "SAT" if verdict.sat else "UNSAT"
+            writer.writerow((args.file, cfg.mode, cfg.analyze, answer, *counts.values()))
     for inv, count in sorted(solver.violations.items()):
         print("c invariant %d violated %d times" % (inv, count))
-    for name in Stats.FIELDS:
-        print("c %s %d" % (name, getattr(stats, name)))
+    for name, count in counts.items():
+        print("c %s %d" % (name, count))
     if verdict.sat:
         print("s SATISFIABLE")
         lits = [v if verdict.model[v] else -v for v in sorted(verdict.model)]

@@ -9,7 +9,7 @@ randomness enters the search.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from heapq import heappop
 
 from . import checker
@@ -49,6 +49,9 @@ class SolverConfig:
 
 @dataclass
 class Stats:
+    """Search counters.  ``SEARCH`` names those the search fixes, in output
+    order; ``as_dict`` (so ``SEARCH_SHA256``) and ``solve --stats`` read only it."""
+
     propagations: int = 0
     decisions: int = 0
     conflicts: int = 0
@@ -56,12 +59,12 @@ class Stats:
     reimplications: int = 0
     mli_detected: int = 0
 
+    SEARCH = FIELDS = (  # FIELDS: the name perfbench reads
+        "propagations", "decisions", "conflicts", "learned", "reimplications", "mli_detected"
+    )
+
     def as_dict(self):
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-
-# Counter names in declaration order: the column order of every stats output.
-Stats.FIELDS = tuple(f.name for f in fields(Stats))
+        return {name: getattr(self, name) for name in self.SEARCH}
 
 
 @dataclass
@@ -97,7 +100,7 @@ class Solver:
         self.var_inc = VSIDS_BUMP
         self.violations = Counter()  # invariant id -> reports summed over checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
-        self._solved = False
+        self._set_up = False  # set by setup(), which begins the one run
         self._fine = self.cfg.check_level == "fine"  # check after pops, too
 
     # -- small hooks -------------------------------------------------------
@@ -210,31 +213,28 @@ class Solver:
     # -- main loop -----------------------------------------------------------
 
     def solve(self) -> Verdict:
-        if self._solved:
-            raise RuntimeError("a solver instance runs once")
-        self._solved = True
-        verdict = self.setup()
-        while verdict is None:
+        kind = self.setup()
+        while kind not in ("sat", "unsat"):
             kind = self.step()
-            if kind == "sat":
-                verdict = Verdict(True, self._model())
-            elif kind == "unsat":
-                verdict = Verdict(False)
+        verdict = Verdict(True, self._model()) if kind == "sat" else Verdict(False)
         if self.state.trace is not None:
             self.state.trace({"kind": "result", "sat": verdict.sat})
         return verdict
 
     def setup(self):
-        """Fill watch lists and seed root units; a verdict here is final."""
+        """Start the one run (RuntimeError if it has started): fill watch lists
+        and seed root units; return "unsat" if that refutes the formula, else None."""
+        if self._set_up:
+            raise RuntimeError("a solver instance runs once")
+        self._set_up = True
         st = self.state
         if self.formula.trivially_unsat:
-            return Verdict(False)
+            return "unsat"
         for unit in self.prop.init_watches():
             lit = unit.lits[0]
-            v = st.val[lit]
-            if v == FALSE:
-                return Verdict(False)
-            if v == UNDEF:
+            if st.val[lit] == FALSE:
+                return "unsat"
+            if st.val[lit] == UNDEF:
                 st.enqueue_implied(lit, unit, 0)
         return None
 
@@ -242,8 +242,10 @@ class Solver:
         """One macro step of the main loop: propagate, then act on the result.
 
         Returns its kind: "sat" (every variable is assigned), "unsat",
-        "decide" or "learn" (a conflict episode installed a clause).
-        """
+        "decide" or "learn" (a conflict episode installed a clause).  Raises
+        RuntimeError before ``setup()`` has run."""
+        if not self._set_up:
+            raise RuntimeError("step() before setup()")
         st = self.state
         # bound here, not stored: a stored bound method would tie the solver to itself
         conflict = self.prop.bcp(on_pop=self._checkpoint if self._fine else None)

@@ -142,9 +142,11 @@ def reference_parse_dimacs(text):
 class Rig:
     """Hand-driven solver core for scripted replays and unit tests.
 
-    Wraps a real :class:`Solver` whose main loop never runs: the script
-    drives its trail, propagator and installation step directly.  The
-    coarse check level therefore only turns on the trail's contract checks.
+    Wraps a real :class:`Solver` that is set up but never stepped: the
+    script drives its trail, propagator and installation step directly.
+    No Rig formula has a unit clause, so ``setup`` only fills the watch
+    lists.  The coarse check level therefore only turns on the trail's
+    contract checks.
     """
 
     def __init__(self, formula, mode="lscb"):
@@ -155,7 +157,7 @@ class Rig:
         self.state = self.solver.state
         self.prop = self.solver.prop
         self.stats = self.solver.stats
-        self.prop.init_watches()
+        self.solver.setup()
 
     def decide(self, n):
         self.state.enqueue_decision(lit_from_int(n))

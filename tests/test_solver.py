@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import os
@@ -156,11 +157,25 @@ def test_decisions_take_the_last_sign_their_variable_had():
     assert decisions > 500
 
 
-def test_a_second_solve_raises():
+# Each order breaks the run protocol (solve() once, or setup() once and then
+# step()) at its last call; the value is the message that call raises with.
+MISUSES = {
+    ("solve", "solve"): "a solver instance runs once",
+    ("setup", "solve"): "a solver instance runs once",
+    ("setup", "setup"): "a solver instance runs once",
+    ("step",): "step() before setup()",
+}
+
+
+@pytest.mark.parametrize("calls", list(MISUSES), ids="-".join)
+def test_a_second_solve_raises(calls):
     s = Solver(random_3sat(20, 91, 0))
-    s.solve()
-    with pytest.raises(RuntimeError, match="runs once"):
-        s.solve()
+    for name in calls[:-1]:
+        getattr(s, name)()
+    watched = sum(map(len, s.prop.wl))
+    with pytest.raises(RuntimeError, match=re.escape(MISUSES[calls])):
+        getattr(s, calls[-1])()
+    assert sum(map(len, s.prop.wl)) == watched  # the guard runs first
 
 
 def run_python(code, *flags):
@@ -176,17 +191,22 @@ def run_python(code, *flags):
 
 
 def test_a_second_solve_raises_under_python_dash_o():
-    # the guard is no assert, so -O keeps it
+    # the guards are no asserts, so -O keeps them
     code = (
         "from lazysat import Solver\n"
         "from lazysat.testkit import random_3sat\n"
-        "s = Solver(random_3sat(20, 91, 0))\n"
-        "s.solve()\n"
-        "s.solve()\n"
-    )
+        "for calls in %r:\n"
+        "    s = Solver(random_3sat(20, 91, 0))\n"
+        "    try:\n"
+        "        for name in calls:\n"
+        "            getattr(s, name)()\n"
+        "    except RuntimeError as exc:\n"
+        "        print(' then '.join(calls) + ': ' + str(exc))\n"
+    ) % (list(MISUSES),)
     done = run_python(code, "-O")
-    assert done.returncode == 1
-    assert "RuntimeError: a solver instance runs once" in done.stderr, done.stderr
+    assert done.returncode == 0, done.stderr
+    want = [" then ".join(calls) + ": " + message for calls, message in MISUSES.items()]
+    assert done.stdout.splitlines() == want, done.stdout
 
 
 def test_checked_implications_scan_nothing_under_python_dash_o():
@@ -700,19 +720,20 @@ def test_stats_deterministic_and_monotone():
     b = Solver(f.copy(), cfg(mode="lscb", cb_threshold=1))
     va, vb = a.solve(), b.solve()
     assert va.sat == vb.sat
-    assert a.stats.as_dict() == b.stats.as_dict()
-    # Stepped by hand, no counter ever decreases from one step to the next.
-    # The instance moves every counter, reimplications included.
+    assert a.stats == b.stats
+    # Stepped by hand, no counter, in Stats.SEARCH or not, ever decreases from
+    # one step to the next.  The instance moves every search counter,
+    # reimplications included; a counter outside SEARCH need not move here.
     s = Solver(random_3sat(20, 91, 3), cfg(mode="lscb", cb_threshold=1))
     assert s.setup() is None
-    before = s.stats.as_dict()
+    before = dataclasses.asdict(s.stats)
     kind = None
     while kind not in ("sat", "unsat"):
         kind = s.step()
-        after = s.stats.as_dict()
-        assert all(after[k] >= before[k] for k in Stats.FIELDS), (kind, before, after)
+        after = dataclasses.asdict(s.stats)
+        assert all(after[k] >= before[k] for k in after), (kind, before, after)
         before = after
-    assert all(before[k] > 0 for k in Stats.FIELDS), before
+    assert all(before[k] > 0 for k in Stats.SEARCH), before
 
 
 def test_flag_combination_soak_against_oracle():
