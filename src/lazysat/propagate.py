@@ -126,7 +126,7 @@ class Propagator:
 
     # -- propagation ---------------------------------------------------------
 
-    def bcp(self, on_pop=None):
+    def bcp(self):
         """Propagate the pending queue to fixpoint.
 
         Each queued literal visits every clause watching its negation.
@@ -137,8 +137,6 @@ class Propagator:
         On conflict the triggering literal is left in the queue and the
         conflicting clause returned; otherwise the trail ends fully
         propagated.  The propagation counter advances once per head move.
-        ``on_pop``, if given, runs after each pop that leaves work queued,
-        with ``state.head`` advanced; the end state is the caller's to check.
         """
         st = self.state
         stats = self.stats
@@ -220,9 +218,6 @@ class Propagator:
                 trace({"kind": "pop", "lit": lit_to_int(trail[head])})
             head += 1
             props += 1
-            if on_pop is not None and head < len(trail):
-                st.head = head
-                on_pop()
         st.head = head
         stats.propagations += props
         return None

@@ -21,7 +21,7 @@ from .state import FALSE, TRUE, UNDEF, TrailState
 from .state import backtrack as run_backtrack
 
 MODES = ("ncb", "wcb", "rscb", "lscb")
-CHECK_LEVELS = ("off", "coarse", "fine")
+CHECK_LEVELS = ("off", "coarse")
 
 VSIDS_BUMP = 1.0
 VSIDS_DECAY = 0.95  # the bump grows by 1/VSIDS_DECAY per conflict
@@ -101,18 +101,15 @@ class Solver:
         self.violations = Counter()  # invariant id -> reports summed over checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
         self._set_up = False  # set by setup(), which begins the one run
-        self._fine = self.cfg.check_level == "fine"  # check after pops, too
 
     # -- small hooks -------------------------------------------------------
 
     def _checkpoint(self):
         """Count the checker's reports: ``coarse`` checks after each
-        conflict-free propagation and after each learned-clause install,
-        ``fine`` also after every pop that leaves work queued (``bcp``'s
-        ``on_pop``; ``step`` checks the end state once).  No check follows a
-        decision: its pending literal, at a new top level, breaks no invariant,
-        so that check could report no (invariant, subject) pair that the one
-        before missed."""
+        conflict-free propagation and after each learned-clause install.  No
+        check follows a decision: its pending literal, at a new top level,
+        breaks no invariant, so that check could report no (invariant,
+        subject) pair that the one before missed."""
         if self.cfg.check_level == "off":
             return
         for v in checker.check_ids(self.state, self.formula):
@@ -247,8 +244,7 @@ class Solver:
         if not self._set_up:
             raise RuntimeError("step() before setup()")
         st = self.state
-        # bound here, not stored: a stored bound method would tie the solver to itself
-        conflict = self.prop.bcp(on_pop=self._checkpoint if self._fine else None)
+        conflict = self.prop.bcp()
         if conflict is None:
             self._checkpoint()
             if len(st.trail) == self.formula.num_vars:

@@ -118,7 +118,7 @@ def test_analysis_strategy_is_inert_outside_lscb():
 
 
 def test_invariant_matrix():
-    """Per-mode invariant guarantees under fine-grained checking.
+    """Per-mode invariant guarantees under ``coarse`` checking.
 
     Zero-tolerance cells per mode, plus the required existence of a strong
     watched-literal violation somewhere in the weak-mode batch.
@@ -131,7 +131,7 @@ def test_invariant_matrix():
             for i in range(count):
                 f = random_3sat(n, m, 20_000 + i)
                 cfg = SolverConfig(
-                    mode=mode, analyze=2, cb_threshold=1, check_level="fine"
+                    mode=mode, analyze=2, cb_threshold=1, check_level="coarse"
                 )
                 s = Solver(f.copy(), cfg)
                 s.solve()

@@ -49,6 +49,16 @@ def test_bad_flag_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_fine_is_rejected(tmp_path, capsys):
+    # the check levels are off and coarse: the config and --check reject fine
+    with pytest.raises(ValueError) as exc:
+        SolverConfig(check_level="fine")
+    assert str(exc.value) == "unknown check level 'fine'"
+    path = write_cnf(tmp_path / "x.cnf", s1_formula())
+    assert main(["solve", path, "--check", "fine"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_unreadable_file_is_usage_error(capsys):
     assert main(["solve", "/nonexistent/file.cnf"]) == 1
     err = capsys.readouterr().err
@@ -384,17 +394,24 @@ def test_python_dash_o_gives_the_same_bench_output(tmp_path):
 @pytest.mark.parametrize("command", ["solve", "gen", "bench"])
 def test_readme_synopsis_lists_the_parser_options(command):
     # the README's synopsis block for a subcommand names exactly the long
-    # options its parser defines, --help aside
+    # options its parser defines, --help aside, and shows each option with
+    # choices once, as --opt a|b|... in the parser's order
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(lazysat.__file__))))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
         text = fh.read()
     block = re.search(r"^```\n(lazysat %s .*?)^```" % command, text, re.M | re.S).group(1)
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
     defined = {
         opt
-        for action in subparsers.choices[command]._actions
+        for action in actions
         for opt in action.option_strings
         if opt.startswith("--") and opt != "--help"
     }
     assert set(re.findall(r"--[a-z][a-z-]*", block)) == defined
+    for action in actions:
+        if action.choices:
+            opt = action.option_strings[-1]
+            shown = re.findall(r"%s ([^\s\]]+)" % re.escape(opt), block)
+            assert shown == ["|".join(map(str, action.choices))], (opt, shown)

@@ -154,24 +154,6 @@ def test_bcp_empty_queue_is_noop():
     assert prop.stats.propagations == 0
 
 
-def test_bcp_on_pop_sees_the_advanced_head():
-    # an unchecked, untraced state runs the inline path; on_pop still sees
-    # the head and trail the reference kernel shows it
-    seen = []
-    for kernel in (Propagator.bcp, reference_bcp):
-        f = Formula(4)
-        for ints in ([1, 2], [1, 3], [-2, -3, 4]):
-            f.add_clause(ints)
-        st = TrailState(4)
-        prop = Propagator(f, st, "lscb", Stats())
-        prop.init_watches()
-        st.enqueue_decision(lit(-1))
-        heads = []
-        assert kernel(prop, lambda: heads.append((st.head, len(st.trail)))) is None
-        seen.append(heads)
-    assert seen[0] == seen[1] == [(1, 3), (2, 3), (3, 4)]
-
-
 def test_bcp_conflict_leaves_trigger_queued():
     out = s1_replay("lscb")
     snap = out["snap_second_conflict"]
@@ -507,7 +489,7 @@ def reference_propagate_literal(prop, lit):
     return None
 
 
-def reference_bcp(prop, on_pop=None):
+def reference_bcp(prop):
     st = prop.state
     stats = prop.stats
     while st.head < len(st.trail):
@@ -519,8 +501,6 @@ def reference_bcp(prop, on_pop=None):
         st.head += 1
         if stats is not None:
             stats.propagations += 1
-        if on_pop is not None and st.head < len(st.trail):
-            on_pop()
     return None
 
 
@@ -548,14 +528,14 @@ def kernel_snapshot(solver, conflict):
 
 
 def recorded_solve(formula, cfg, kernel, traced):
-    """Solve with ``kernel(prop, on_pop)`` as the solver's bcp; returns the
+    """Solve with ``kernel(prop)`` as the solver's bcp; returns the
     verdict, a snapshot after every bcp call and the trace events."""
     events = []
     solver = Solver(formula, cfg, trace=events.append if traced else None)
     snaps = []
 
-    def run(on_pop=None):
-        conflict = kernel(solver.prop, on_pop)
+    def run():
+        conflict = kernel(solver.prop)
         snaps.append(kernel_snapshot(solver, conflict))
         return conflict
 
@@ -565,9 +545,9 @@ def recorded_solve(formula, cfg, kernel, traced):
 
 
 def test_bcp_matches_reference_kernel():
-    # check_level "off" without a trace runs bcp's inline path; "fine" with
-    # a trace runs its hooked path (checked asserts, trace events, on_pop)
-    paths = (("off", False), ("fine", True))
+    # check_level "off" without a trace runs bcp's inline path; "coarse"
+    # with a trace runs its hooked path (checked asserts, trace events)
+    paths = (("off", False), ("coarse", True))
     totals = {path: 0 for path in paths}
     mli = 0
     for mode, (check_level, traced), (n, m, seed) in itertools.product(
