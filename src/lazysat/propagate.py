@@ -5,9 +5,13 @@ pending queue in a single frame: the state's arrays are bound to locals
 once per call, the head and the propagation count are kept in locals and
 written back on exit, and each queued literal visits the clauses watching
 its negation in one inline loop.  An implied literal is assigned inline
-too.  With checked asserts or a trace callback, implications go through
-``enqueue_implied``, which owns those hooks; the search is the same either
-way.  Only ``bcp`` moves the head, and it emits each ``pop`` event itself.
+too.  Given the solver's decider, an unhooked call also decides when the
+queue drains, as MiniSat's ``search`` loop does, and so runs decisions and
+propagation in one frame until a conflict or a full trail.  With checked
+asserts or a trace callback, implications go through ``enqueue_implied``
+and decisions are left to the caller, which owns those hooks; the search is
+the same either way.  Only ``bcp`` moves the head, and it emits each
+``pop`` event itself.
 
 One code path serves all backtracking modes.  The mode only changes the
 skip condition when the other watched literal is already satisfied: the
@@ -31,7 +35,7 @@ the ternary level test and the "replacement not falsified" exit.
 from __future__ import annotations
 
 from .formula import lit_to_int
-from .state import FALSE, TRUE
+from .state import FALSE, TRUE, UNDEF
 
 
 class Propagator:
@@ -126,8 +130,9 @@ class Propagator:
 
     # -- propagation ---------------------------------------------------------
 
-    def bcp(self):
-        """Propagate the pending queue to fixpoint.
+    def bcp(self, decide=None):
+        """Propagate the pending queue to fixpoint, deciding too when an
+        unhooked call is given ``decide``.
 
         Each queued literal visits every clause watching its negation.
         Clauses whose falsified watch gets replaced move lists even when the
@@ -137,6 +142,10 @@ class Propagator:
         On conflict the triggering literal is left in the queue and the
         conflicting clause returned; otherwise the trail ends fully
         propagated.  The propagation counter advances once per head move.
+        With ``decide`` and neither checked asserts nor a trace, a drained
+        queue that leaves a variable unassigned takes ``decide()``'s literal
+        as ``TrailState.enqueue_decision`` would, counts it, and propagates
+        on: such a call returns only on a conflict or a full trail.
         """
         st = self.state
         stats = self.stats
@@ -149,11 +158,26 @@ class Propagator:
         lazy_mode = self.lazy_mode
         trace = st.trace
         # implications' checked asserts and trace events live in
-        # enqueue_implied; without either they run inline
+        # enqueue_implied, and decisions' in enqueue_decision; without
+        # either both run inline
         hooked = st.checked or trace is not None
         head = st.head
         props = 0
-        while head < len(trail):
+        while True:
+            if head == len(trail):
+                if decide is None or hooked or head == st.num_vars:
+                    break
+                lit = decide()
+                assert val[lit] == UNDEF, "deciding an assigned variable"
+                decisions = st.decisions
+                decisions.append(lit)
+                v = lit >> 1
+                val[lit] = TRUE
+                val[lit ^ 1] = FALSE
+                level[v] = len(decisions)
+                reason[v] = None
+                trail.append(lit)
+                stats.decisions += 1
             c1 = trail[head] ^ 1
             lvl_c1 = level[c1 >> 1]
             watchers = wl[c1]

@@ -109,7 +109,9 @@ class Solver:
         conflict-free propagation and after each learned-clause install.  No
         check follows a decision: its pending literal, at a new top level,
         breaks no invariant, so that check could report no (invariant,
-        subject) pair that the one before missed."""
+        subject) pair that the one before missed.  A checked run is hooked,
+        so ``bcp`` leaves decisions to ``step()``, and each conflict-free
+        propagation still ends at a checkpoint."""
         if self.cfg.check_level == "off":
             return
         for v in checker.check_ids(self.state, self.formula):
@@ -239,12 +241,17 @@ class Solver:
         """One macro step of the main loop: propagate, then act on the result.
 
         Returns its kind: "sat" (every variable is assigned), "unsat",
-        "decide" or "learn" (a conflict episode installed a clause).  Raises
-        RuntimeError before ``setup()`` has run."""
+        "decide" or "learn" (a conflict episode installed a clause).  In an
+        unchecked, untraced run ``bcp`` makes the decisions itself, so a
+        step runs decisions and propagation up to a conflict episode or a
+        verdict and never returns "decide"; with checked asserts or a trace
+        each decision is a step of its own, made here.  Raises RuntimeError
+        before ``setup()`` has run."""
         if not self._set_up:
             raise RuntimeError("step() before setup()")
         st = self.state
-        conflict = self.prop.bcp()
+        # looked up per call, so a wrapper of decide sees every decision
+        conflict = self.prop.bcp(self.decide)
         if conflict is None:
             self._checkpoint()
             if len(st.trail) == self.formula.num_vars:

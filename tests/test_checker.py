@@ -389,8 +389,12 @@ def test_check_ids_matches_reference_scan():
             # "False" keeps each run's corruptions as they were pinned when
             # these runs shared the loop with a second configuration
             rng = random.Random("%s False %d" % (mode, seed))
+            # a trace, even one that drops its events, keeps each decision a
+            # step of its own, so the states just after decisions are checked too
             s = Solver(
-                random_3sat(n, m, seed), SolverConfig(mode=mode, analyze=analyze, cb_threshold=1)
+                random_3sat(n, m, seed),
+                SolverConfig(mode=mode, analyze=analyze, cb_threshold=1),
+                trace=lambda event: None,
             )
             assert s.setup() is None
             kind = "setup"

@@ -489,10 +489,16 @@ def reference_propagate_literal(prop, lit):
     return None
 
 
-def reference_bcp(prop):
+def reference_bcp(prop, decide=None):
     st = prop.state
     stats = prop.stats
-    while st.head < len(st.trail):
+    hooked = st.checked or st.trace is not None
+    while True:
+        if st.head == len(st.trail):
+            if decide is None or hooked or st.head == st.num_vars:
+                return None
+            st.enqueue_decision(decide())
+            stats.decisions += 1
         conflict = reference_propagate_literal(prop, st.trail[st.head])
         if conflict is not None:
             return conflict
@@ -501,7 +507,6 @@ def reference_bcp(prop):
         st.head += 1
         if stats is not None:
             stats.propagations += 1
-    return None
 
 
 def kernel_snapshot(solver, conflict):
@@ -528,14 +533,14 @@ def kernel_snapshot(solver, conflict):
 
 
 def recorded_solve(formula, cfg, kernel, traced):
-    """Solve with ``kernel(prop)`` as the solver's bcp; returns the
+    """Solve with ``kernel(prop, decide)`` as the solver's bcp; returns the
     verdict, a snapshot after every bcp call and the trace events."""
     events = []
     solver = Solver(formula, cfg, trace=events.append if traced else None)
     snaps = []
 
-    def run():
-        conflict = kernel(solver.prop)
+    def run(decide=None):
+        conflict = kernel(solver.prop, decide)
         snaps.append(kernel_snapshot(solver, conflict))
         return conflict
 
@@ -545,25 +550,28 @@ def recorded_solve(formula, cfg, kernel, traced):
 
 
 def test_bcp_matches_reference_kernel():
-    # check_level "off" without a trace runs bcp's inline path; "coarse"
-    # with a trace runs its hooked path (checked asserts, trace events)
-    paths = (("off", False), ("coarse", True))
+    # check_level "off" without a trace runs bcp's inline path, decisions
+    # included; "coarse" with a trace runs its hooked path (checked asserts,
+    # trace events), where step() decides.  The inline path is snapshotted
+    # once per conflict episode, not once per decision too, so it runs two
+    # more instances to pass the same floor.
+    common = ((30, 128, 0), (30, 128, 1), (50, 218, 2), (50, 218, 3))
+    paths = {("off", False): common + ((50, 218, 4), (50, 218, 5)), ("coarse", True): common}
     totals = {path: 0 for path in paths}
     mli = 0
-    for mode, (check_level, traced), (n, m, seed) in itertools.product(
-        MODES, paths, ((30, 128, 0), (30, 128, 1), (50, 218, 2), (50, 218, 3))
-    ):
-        case = (mode, check_level, n, seed)
-        cfg = SolverConfig(mode=mode, cb_threshold=1, check_level=check_level)
-        f = random_3sat(n, m, seed)
-        want = recorded_solve(f.copy(), cfg, reference_bcp, traced)
-        got = recorded_solve(f.copy(), cfg, Propagator.bcp, traced)
-        assert got[0] == want[0], case
-        assert len(got[1]) == len(want[1]), case
-        for k, (g, w) in enumerate(zip(got[1], want[1])):
-            assert g == w, (case, k)
-        assert got[2] == want[2], case
-        totals[(check_level, traced)] += len(got[1])
-        mli += got[1][-1][10]["mli_detected"]
+    for mode, (check_level, traced) in itertools.product(MODES, paths):
+        for n, m, seed in paths[check_level, traced]:
+            case = (mode, check_level, n, seed)
+            cfg = SolverConfig(mode=mode, cb_threshold=1, check_level=check_level)
+            f = random_3sat(n, m, seed)
+            want = recorded_solve(f.copy(), cfg, reference_bcp, traced)
+            got = recorded_solve(f.copy(), cfg, Propagator.bcp, traced)
+            assert got[0] == want[0], case
+            assert len(got[1]) == len(want[1]), case
+            for k, (g, w) in enumerate(zip(got[1], want[1])):
+                assert g == w, (case, k)
+            assert got[2] == want[2], case
+            totals[(check_level, traced)] += len(got[1])
+            mli += got[1][-1][10]["mli_detected"]
     assert all(n > 1000 for n in totals.values()), totals
     assert mli > 0

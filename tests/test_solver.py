@@ -247,9 +247,9 @@ def test_readme_library_snippet_runs():
 
 
 def test_decide_names_a_broken_heap():
-    # step() decides only while a variable is unassigned, so finding none
-    # means the two-tier invariant of rebuild_heap broke, not that the
-    # caller erred.  The heap tier fails when an unassigned variable of
+    # step(), and in unchecked, untraced runs bcp's decision continuation,
+    # decide only while a variable is unassigned, so finding none means the
+    # two-tier invariant of rebuild_heap broke, not that the caller erred.  The heap tier fails when an unassigned variable of
     # positive activity has no entry; the index tier when the cursor has
     # passed an unassigned zero-activity variable that has none.
     message = r"no unassigned variable in the heap or at or after the cursor \(rebuild_heap\)"
@@ -378,6 +378,74 @@ def test_decide_after_an_activity_rescales_to_zero():
     while kind not in ("sat", "unsat"):
         kind = s.step()
     assert (v, "index") in checked.log[fell:]
+
+
+def _stepped(s):
+    """Step a set-up solver to its verdict; returns the kinds of its steps."""
+    assert s.setup() is None
+    kinds = Counter()
+    kind = None
+    while kind not in ("sat", "unsat"):
+        kind = s.step()
+        kinds[kind] += 1
+    return kinds
+
+
+def _end_state(s, kinds):
+    st = s.state
+    return (
+        "sat" in kinds,
+        s._model() if "sat" in kinds else None,
+        dataclasses.asdict(s.stats),
+        [c.lits for c in s.formula.clauses if c.learned],
+        list(st.trail),
+        list(st.level),
+        st.head,
+    )
+
+
+def test_inline_and_stepped_decisions_search_alike():
+    # An unchecked, untraced run decides inside bcp; a traced one decides in
+    # step().  Both must make the same decisions and end in the same state.
+    # A wrapper on the instance sees every decision of the inline path.
+    formulas = [random_3sat(30, 128, seed) for seed in range(10)]
+    formulas.append(random_3sat(300, 750, 0))  # SAT, about 120 decisions
+    kinds_seen = Counter()
+    grid = itertools.product(MODES, (1, 2), (False, True))
+    for (mode, analyze, minimize), (k, f) in itertools.product(grid, enumerate(formulas)):
+        case = (mode, analyze, minimize, k)
+        c = cfg(mode, analyze, cb_threshold=1, minimize=minimize)
+        inline = Solver(f.copy(), c)
+        calls = [0]
+
+        def counted(s=inline):
+            calls[0] += 1
+            return Solver.decide(s)
+
+        inline.decide = counted
+        kinds = _stepped(inline)
+        assert "decide" not in kinds, case
+        assert inline.stats.decisions == calls[0], case
+        stepped = Solver(f.copy(), c, trace=lambda event: None)
+        stepped_kinds = _stepped(stepped)
+        assert stepped_kinds["decide"] == stepped.stats.decisions, case
+        assert _end_state(inline, kinds) == _end_state(stepped, stepped_kinds), case
+        kinds_seen += stepped_kinds
+    assert kinds_seen["sat"] and kinds_seen["unsat"] and kinds_seen["learn"], kinds_seen
+
+
+def test_inline_decision_refuses_an_assigned_literal():
+    # bcp's inline decision keeps enqueue_decision's check
+    s = Solver(random_3sat(20, 91, 0), cfg(cb_threshold=1))
+    assert s.setup() is None
+    st = s.state
+
+    def decide_again():
+        # the first call decides; the next repeats a literal on the trail
+        return st.trail[-1] if st.trail else Solver.decide(s)
+
+    with pytest.raises(AssertionError, match="deciding an assigned variable"):
+        s.prop.bcp(decide_again)
 
 
 def test_solver_leaves_no_reference_cycle():
