@@ -5,13 +5,13 @@ pending queue in a single frame: the state's arrays are bound to locals
 once per call, the head and the propagation count are kept in locals and
 written back on exit, and each queued literal visits the clauses watching
 its negation in one inline loop.  An implied literal is assigned inline
-too.  Given the solver's decider, an unhooked call also decides when the
-queue drains, as MiniSat's ``search`` loop does, and so runs decisions and
-propagation in one frame until a conflict or a full trail.  With checked
-asserts or a trace callback, implications go through ``enqueue_implied``
-and decisions are left to the caller, which owns those hooks; the search is
-the same either way.  Only ``bcp`` moves the head, and it emits each
-``pop`` event itself.
+too.  Given the solver's decider, a call also decides when the queue
+drains, as MiniSat's ``search`` loop does, writing the head and the count
+back first, and so runs decisions and propagation in one frame until a
+conflict or a full trail.  With checked asserts or a trace callback,
+implications go through ``enqueue_implied``; the search is the same either
+way.  Only ``bcp`` moves the head; it emits each ``pop`` event itself, and
+the ``decide`` event of each decision it makes.
 
 One code path serves all backtracking modes.  The mode only changes the
 skip condition when the other watched literal is already satisfied: the
@@ -131,8 +131,8 @@ class Propagator:
     # -- propagation ---------------------------------------------------------
 
     def bcp(self, decide=None):
-        """Propagate the pending queue to fixpoint, deciding too when an
-        unhooked call is given ``decide``.
+        """Propagate the pending queue to fixpoint, deciding too when given
+        ``decide``.
 
         Each queued literal visits every clause watching its negation.
         Clauses whose falsified watch gets replaced move lists even when the
@@ -142,10 +142,10 @@ class Propagator:
         On conflict the triggering literal is left in the queue and the
         conflicting clause returned; otherwise the trail ends fully
         propagated.  The propagation counter advances once per head move.
-        With ``decide`` and neither checked asserts nor a trace, a drained
-        queue that leaves a variable unassigned takes ``decide()``'s literal
-        as ``TrailState.enqueue_decision`` would, counts it, and propagates
-        on: such a call returns only on a conflict or a full trail.
+        With ``decide``, a drained queue that leaves a variable unassigned
+        takes ``decide()``'s literal as ``TrailState.enqueue_decision``
+        would, counts it, and propagates on: such a call returns only on a
+        conflict or a full trail.
         """
         st = self.state
         stats = self.stats
@@ -158,15 +158,16 @@ class Propagator:
         lazy_mode = self.lazy_mode
         trace = st.trace
         # implications' checked asserts and trace events live in
-        # enqueue_implied, and decisions' in enqueue_decision; without
-        # either both run inline
+        # enqueue_implied; without either they run inline
         hooked = st.checked or trace is not None
         head = st.head
-        props = 0
+        props = stats.propagations
         while True:
             if head == len(trail):
-                if decide is None or hooked or head == st.num_vars:
-                    break
+                st.head = head
+                stats.propagations = props
+                if decide is None or head == st.num_vars:
+                    return None
                 lit = decide()
                 assert val[lit] == UNDEF, "deciding an assigned variable"
                 decisions = st.decisions
@@ -178,6 +179,8 @@ class Propagator:
                 reason[v] = None
                 trail.append(lit)
                 stats.decisions += 1
+                if trace is not None:
+                    trace({"kind": "decide", "lit": lit_to_int(lit), "level": level[v]})
             c1 = trail[head] ^ 1
             lvl_c1 = level[c1 >> 1]
             watchers = wl[c1]
@@ -220,7 +223,7 @@ class Propagator:
                 if vc2 == FALSE:
                     del watchers[j : j + moved]  # keeps the unvisited ones after the kept ones
                     st.head = head
-                    stats.propagations += props
+                    stats.propagations = props
                     return clause
                 lvl_r = level[r >> 1]
                 if vc2 == TRUE:
@@ -242,6 +245,3 @@ class Propagator:
                 trace({"kind": "pop", "lit": lit_to_int(trail[head])})
             head += 1
             props += 1
-        st.head = head
-        stats.propagations += props
-        return None

@@ -100,7 +100,7 @@ class Solver:
         self.var_inc = VSIDS_BUMP
         self.violations = Counter()  # invariant id -> reports summed over checkpoints
         self.on_learn = None  # callback(solver, pre_minimize, post_minimize)
-        self._set_up = False  # set by setup(), which begins the one run
+        self._stage = "new"  # then "running" from setup(), "done" at the verdict
 
     # -- small hooks -------------------------------------------------------
 
@@ -109,13 +109,17 @@ class Solver:
         conflict-free propagation and after each learned-clause install.  No
         check follows a decision: its pending literal, at a new top level,
         breaks no invariant, so that check could report no (invariant,
-        subject) pair that the one before missed.  A checked run is hooked,
-        so ``bcp`` leaves decisions to ``step()``, and each conflict-free
-        propagation still ends at a checkpoint."""
+        subject) pair that the one before missed.  ``bcp`` decides in every
+        run, so a checked run checks each drained queue in ``_checked_decide``
+        and the full trail in ``step()``."""
         if self.cfg.check_level == "off":
             return
         for v in checker.check_ids(self.state, self.formula):
             self.violations[v.invariant] += 1
+
+    def _checked_decide(self):
+        self._checkpoint()
+        return self.decide()
 
     # -- decisions ---------------------------------------------------------
 
@@ -223,9 +227,9 @@ class Solver:
     def setup(self):
         """Start the one run (RuntimeError if it has started): fill watch lists
         and seed root units; return "unsat" if that refutes the formula, else None."""
-        if self._set_up:
+        if self._stage != "new":
             raise RuntimeError("a solver instance runs once")
-        self._set_up = True
+        self._stage = "done"  # until no refutation is found
         st = self.state
         if self.formula.trivially_unsat:
             return "unsat"
@@ -235,31 +239,32 @@ class Solver:
                 return "unsat"
             if st.val[lit] == UNDEF:
                 st.enqueue_implied(lit, unit, 0)
+        self._stage = "running"
         return None
 
     def step(self):
-        """One macro step of the main loop: propagate, then act on the result.
+        """One macro step of the main loop: decide and propagate up to a
+        conflict episode or a verdict, then act on the result.
 
-        Returns its kind: "sat" (every variable is assigned), "unsat",
-        "decide" or "learn" (a conflict episode installed a clause).  In an
-        unchecked, untraced run ``bcp`` makes the decisions itself, so a
-        step runs decisions and propagation up to a conflict episode or a
-        verdict and never returns "decide"; with checked asserts or a trace
-        each decision is a step of its own, made here.  Raises RuntimeError
-        before ``setup()`` has run."""
-        if not self._set_up:
-            raise RuntimeError("step() before setup()")
-        st = self.state
+        ``bcp`` makes every decision, so a step returns one of three kinds:
+        "sat" (every variable is assigned), "unsat", or "learn" (a conflict
+        episode installed a clause).  Raises RuntimeError before
+        ``setup()`` has run or once a verdict is out."""
+        if self._stage != "running":
+            raise RuntimeError(
+                "step() before setup()" if self._stage == "new" else "step() after the verdict"
+            )
         # looked up per call, so a wrapper of decide sees every decision
-        conflict = self.prop.bcp(self.decide)
+        decide = self.decide if self.cfg.check_level == "off" else self._checked_decide
+        conflict = self.prop.bcp(decide)
         if conflict is None:
             self._checkpoint()
-            if len(st.trail) == self.formula.num_vars:
-                return "sat"
-            st.enqueue_decision(self.decide())
-            self.stats.decisions += 1
-            return "decide"
-        return "learn" if self._handle_conflict(conflict) else "unsat"
+            kind = "sat"
+        else:
+            kind = "learn" if self._handle_conflict(conflict) else "unsat"
+        if kind != "learn":
+            self._stage = "done"
+        return kind
 
     def _handle_conflict(self, conflict):
         """Analyze/backtrack/install one conflict episode.

@@ -389,32 +389,40 @@ def test_check_ids_matches_reference_scan():
             # "False" keeps each run's corruptions as they were pinned when
             # these runs shared the loop with a second configuration
             rng = random.Random("%s False %d" % (mode, seed))
-            # a trace, even one that drops its events, keeps each decision a
-            # step of its own, so the states just after decisions are checked too
             s = Solver(
-                random_3sat(n, m, seed),
-                SolverConfig(mode=mode, analyze=analyze, cb_threshold=1),
-                trace=lambda event: None,
+                random_3sat(n, m, seed), SolverConfig(mode=mode, analyze=analyze, cb_threshold=1)
             )
-            assert s.setup() is None
-            kind = "setup"
-            steps = 0
-            while True:
-                where = (mode, analyze, n, seed, kind)
-                got = _matches_reference(s.state, s.formula, where)
+            scans = 0
+
+            def scan(kind, s=s, rng=rng, where=(mode, analyze, n, seed)):
+                nonlocal holding_mli, scans
+                got = _matches_reference(s.state, s.formula, where + (kind,))
                 fired.update(v.invariant for v in got)
                 holding_mli += s.state.lazy_cl.count(None) < len(s.state.lazy_cl)
-                broken = CORRUPTIONS[steps % len(CORRUPTIONS)]
+                broken = CORRUPTIONS[scans % len(CORRUPTIONS)]
+                scans += 1
                 undo = _corrupt(s.state, s.formula, broken, rng)
                 if undo is not None:
-                    bad = _matches_reference(s.state, s.formula, where + (broken,))
+                    bad = _matches_reference(s.state, s.formula, where + (kind, broken))
                     fired_broken.update(v.invariant for v in bad)
                     changed[broken] += bad != got
                     undo()
+
+            def scanned_decide(s=s, scan=scan):
+                # bcp decides in every run, so the scan runs before each
+                # decision, on the drained queue, and not only once a step
+                scan("decide")
+                return Solver.decide(s)
+
+            s.decide = scanned_decide
+            assert s.setup() is None
+            kind = "setup"
+            while True:
+                scan(kind)
                 if kind in ("sat", "unsat"):
                     break
                 kind = s.step()
-                steps += 1
+            assert scans > s.stats.decisions, (mode, seed)  # one per decision
     assert {4, 5, 7} <= fired
     assert 1 in fired_broken
     assert holding_mli > 0

@@ -164,6 +164,7 @@ MISUSES = {
     ("setup", "solve"): "a solver instance runs once",
     ("setup", "setup"): "a solver instance runs once",
     ("step",): "step() before setup()",
+    ("solve", "step"): "step() after the verdict",
 }
 
 
@@ -176,6 +177,28 @@ def test_a_second_solve_raises(calls):
     with pytest.raises(RuntimeError, match=re.escape(MISUSES[calls])):
         getattr(s, calls[-1])()
     assert sum(map(len, s.prop.wl)) == watched  # the guard runs first
+
+
+def test_a_verdict_is_final():
+    # a verdict from setup() or from step() ends the run: a further step()
+    # raises before it can answer again or run analysis again
+    f = Formula(3)
+    f.add_clause([1, 2])
+    f.add_clause([])
+    s = Solver(f)
+    assert s.setup() == "unsat"
+    with pytest.raises(RuntimeError, match=re.escape("step() after the verdict")):
+        s.step()
+    unsat = 0
+    for seed in range(10):
+        s = Solver(random_3sat(30, 128, seed), cfg(cb_threshold=1))
+        kinds = _stepped(s)
+        stats = dataclasses.asdict(s.stats)
+        with pytest.raises(RuntimeError, match=re.escape("step() after the verdict")):
+            s.step()
+        assert dataclasses.asdict(s.stats) == stats, seed
+        unsat += kinds["unsat"]
+    assert 0 < unsat < 10
 
 
 def run_python(code, *flags):
@@ -247,9 +270,9 @@ def test_readme_library_snippet_runs():
 
 
 def test_decide_names_a_broken_heap():
-    # step(), and in unchecked, untraced runs bcp's decision continuation,
-    # decide only while a variable is unassigned, so finding none means the
-    # two-tier invariant of rebuild_heap broke, not that the caller erred.  The heap tier fails when an unassigned variable of
+    # bcp decides only while a variable is unassigned, so finding none means
+    # the two-tier invariant of rebuild_heap broke, not that the caller
+    # erred.  The heap tier fails when an unassigned variable of
     # positive activity has no entry; the index tier when the cursor has
     # passed an unassigned zero-activity variable that has none.
     message = r"no unassigned variable in the heap or at or after the cursor \(rebuild_heap\)"
@@ -404,10 +427,10 @@ def _end_state(s, kinds):
     )
 
 
-def test_inline_and_stepped_decisions_search_alike():
-    # An unchecked, untraced run decides inside bcp; a traced one decides in
-    # step().  Both must make the same decisions and end in the same state.
-    # A wrapper on the instance sees every decision of the inline path.
+def test_traced_and_untraced_runs_decide_alike():
+    # Traced or not, a run decides inside bcp, in steps that end only at a
+    # conflict episode or a verdict; both make the same decisions and end in
+    # the same state.  A wrapper on the instance sees every decision of both.
     formulas = [random_3sat(30, 128, seed) for seed in range(10)]
     formulas.append(random_3sat(300, 750, 0))  # SAT, about 120 decisions
     kinds_seen = Counter()
@@ -415,37 +438,38 @@ def test_inline_and_stepped_decisions_search_alike():
     for (mode, analyze, minimize), (k, f) in itertools.product(grid, enumerate(formulas)):
         case = (mode, analyze, minimize, k)
         c = cfg(mode, analyze, cb_threshold=1, minimize=minimize)
-        inline = Solver(f.copy(), c)
-        calls = [0]
+        ends = []
+        for trace in (None, lambda event: None):
+            s = Solver(f.copy(), c, trace=trace)
+            calls = [0]
 
-        def counted(s=inline):
-            calls[0] += 1
-            return Solver.decide(s)
+            def counted(s=s):
+                calls[0] += 1
+                return Solver.decide(s)
 
-        inline.decide = counted
-        kinds = _stepped(inline)
-        assert "decide" not in kinds, case
-        assert inline.stats.decisions == calls[0], case
-        stepped = Solver(f.copy(), c, trace=lambda event: None)
-        stepped_kinds = _stepped(stepped)
-        assert stepped_kinds["decide"] == stepped.stats.decisions, case
-        assert _end_state(inline, kinds) == _end_state(stepped, stepped_kinds), case
-        kinds_seen += stepped_kinds
+            s.decide = counted
+            kinds = _stepped(s)
+            assert set(kinds) <= {"sat", "unsat", "learn"}, case
+            assert s.stats.decisions == calls[0], case
+            ends.append(_end_state(s, kinds))
+        assert ends[0] == ends[1], case
+        kinds_seen += kinds
     assert kinds_seen["sat"] and kinds_seen["unsat"] and kinds_seen["learn"], kinds_seen
 
 
 def test_inline_decision_refuses_an_assigned_literal():
-    # bcp's inline decision keeps enqueue_decision's check
-    s = Solver(random_3sat(20, 91, 0), cfg(cb_threshold=1))
-    assert s.setup() is None
-    st = s.state
+    # bcp's inline decision keeps enqueue_decision's check, checked or not
+    for check_level in ("off", "coarse"):
+        s = Solver(random_3sat(20, 91, 0), cfg(cb_threshold=1, check_level=check_level))
+        assert s.setup() is None
+        st = s.state
 
-    def decide_again():
-        # the first call decides; the next repeats a literal on the trail
-        return st.trail[-1] if st.trail else Solver.decide(s)
+        def decide_again(s=s, st=st):
+            # the first call decides; the next repeats a literal on the trail
+            return st.trail[-1] if st.trail else Solver.decide(s)
 
-    with pytest.raises(AssertionError, match="deciding an assigned variable"):
-        s.prop.bcp(decide_again)
+        with pytest.raises(AssertionError, match="deciding an assigned variable"):
+            s.prop.bcp(decide_again)
 
 
 def test_solver_leaves_no_reference_cycle():
@@ -656,9 +680,10 @@ def test_mode_invariant_matrix_small_soak():
 
 def test_coarse_checks_once_per_decide_learn_and_sat_step(monkeypatch):
     # The checkpoint contract of Solver._checkpoint: coarse checks after each
-    # conflict-free propagation, which ends a "decide" or "sat" step, and
-    # after each learned-clause install, which ends a "learn" step; no check
-    # follows a decision.  A stub stands in for the scan, which only counts.
+    # conflict-free propagation, which precedes a decision or ends a "sat"
+    # step, and after each learned-clause install, which ends a "learn"
+    # step; no check follows a decision.  A stub stands in for the scan,
+    # which only counts.
     calls = [0]
 
     def counted(state, formula):
@@ -676,7 +701,8 @@ def test_coarse_checks_once_per_decide_learn_and_sat_step(monkeypatch):
             assert s.setup() is None
             while not (kinds["sat"] or kinds["unsat"]):
                 kinds[s.step()] += 1
-            assert calls[0] == kinds["decide"] + kinds["learn"] + kinds["sat"], (mode, seed)
+            want = s.stats.decisions + kinds["learn"] + kinds["sat"]
+            assert calls[0] == want, (mode, seed)
             totals += kinds
     assert totals["sat"] and totals["unsat"] and totals["learn"], totals
 
