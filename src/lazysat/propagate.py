@@ -143,9 +143,9 @@ class Propagator:
         conflicting clause returned; otherwise the trail ends fully
         propagated.  The propagation counter advances once per head move.
         With ``decide``, a drained queue that leaves a variable unassigned
-        takes ``decide()``'s literal as ``TrailState.enqueue_decision``
-        would, counts it, and propagates on: such a call returns only on a
-        conflict or a full trail.
+        takes ``decide()``'s literal as the reference decision writer in
+        ``tests/support.py`` does, counts it, and propagates on: such a call
+        returns only on a conflict or a full trail.
         """
         st = self.state
         stats = self.stats

@@ -13,8 +13,11 @@ conflict analysis's mark.
 Decisions come from two tiers: a heap holds the variables with positive
 activity, and a monotone index cursor reaches the zero-activity ones, which
 VSIDS orders by index alone.  Trail positions are not stored: a literal is
-on the trail at most once, so readers derive them.  ``TrailState``'s
-methods extend the trail and ``backtrack`` undoes it.
+on the trail at most once, so readers derive them.  ``Propagator.bcp``
+writes every decision, and every implication of an unchecked, untraced run,
+inline.  ``TrailState.enqueue_implied`` writes the rest: checked and traced
+implications, reimplications, learned-clause asserts and root units.
+``backtrack`` undoes them all.
 """
 
 from __future__ import annotations
@@ -113,22 +116,6 @@ class TrailState:
 
     # -- transitions -----------------------------------------------------
 
-    def _assign(self, lit, lvl, reason):
-        v = lit >> 1
-        self.val[lit] = TRUE
-        self.val[lit ^ 1] = FALSE
-        self.level[v] = lvl
-        self.reason[v] = reason
-        self.trail.append(lit)
-
-    def enqueue_decision(self, lit):
-        """Append a decision to the pending queue and open a new level."""
-        assert self.val[lit] == UNDEF, "deciding an assigned variable"
-        self.decisions.append(lit)
-        self._assign(lit, len(self.decisions), None)
-        if self.trace is not None:
-            self.trace({"kind": "decide", "lit": lit_to_int(lit), "level": len(self.decisions)})
-
     def enqueue_implied(self, lit, reason, lvl, kind="imply"):
         """Append an implied literal with its reason clause at the given level.
 
@@ -140,7 +127,12 @@ class TrailState:
             assert lvl == self._implied_level(
                 reason.lits, lit, "reason not unit under the trail"
             ), "implied level mismatch"
-        self._assign(lit, lvl, reason)
+        v = lit >> 1
+        self.val[lit] = TRUE
+        self.val[lit ^ 1] = FALSE
+        self.level[v] = lvl
+        self.reason[v] = reason
+        self.trail.append(lit)
         if self.trace is not None:
             self.trace(
                 {"kind": kind, "lit": lit_to_int(lit), "level": lvl, "clause": reason.index}

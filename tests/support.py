@@ -3,8 +3,10 @@
 The two replay fixtures (S1, S2) drive the solver building blocks through a
 pinned event script and expose snapshots for bit-exact assertions.
 ``reference_parse_dimacs`` is the line-then-clause DIMACS reader that the
-one-pass ``parse_dimacs`` is checked against, and ``lit_from_int`` encodes
-the signed literals that test scripts are written in.
+one-pass ``parse_dimacs`` is checked against, ``enqueue_decision`` is the
+reference decision writer that ``Propagator.bcp``'s inline decision is
+checked against, and ``lit_from_int`` encodes the signed literals that test
+scripts are written in.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from lazysat.analyze import analyze as run_analysis
 from lazysat.checker import check_ids
 from lazysat.formula import DimacsError, Formula, lit_to_int
 from lazysat.solver import Solver, SolverConfig
-from lazysat.state import TRUE, backtrack
+from lazysat.state import FALSE, TRUE, UNDEF, backtrack
 from lazysat.testkit import brute_force
 
 
@@ -31,6 +33,20 @@ def lit_from_int(n):
     """Encode a DIMACS-style signed literal, as ``parse_dimacs`` does."""
     v = -n if n < 0 else n
     return (v << 1) | (n < 0)
+
+
+def enqueue_decision(state, lit):
+    """Append a decision to the pending queue and open a new level."""
+    assert state.val[lit] == UNDEF, "deciding an assigned variable"
+    state.decisions.append(lit)
+    v = lit >> 1
+    state.val[lit] = TRUE
+    state.val[lit ^ 1] = FALSE
+    state.level[v] = len(state.decisions)
+    state.reason[v] = None
+    state.trail.append(lit)
+    if state.trace is not None:
+        state.trace({"kind": "decide", "lit": lit_to_int(lit), "level": len(state.decisions)})
 
 
 def solve_record(formula, cfg):
@@ -160,7 +176,7 @@ class Rig:
         self.solver.setup()
 
     def decide(self, n):
-        self.state.enqueue_decision(lit_from_int(n))
+        enqueue_decision(self.state, lit_from_int(n))
         self.stats.decisions += 1
 
     def imply(self, n, clause, level):

@@ -9,7 +9,7 @@ from lazysat.formula import Formula, lit_to_int
 from lazysat.solver import MODES, Solver, SolverConfig
 from lazysat.state import FALSE, TrailState, backtrack
 from lazysat.testkit import random_3sat
-from support import entails, lit_from_int, s2_replay, trail_positions
+from support import enqueue_decision, entails, lit_from_int, s2_replay, trail_positions
 from support import lit_from_int as lit
 
 
@@ -88,8 +88,8 @@ def test_analyze_asserting_conflict_returns_its_literals():
     conflict = f.add_clause([-1, -2])
     r1 = f.add_clause([2, -3])
     st = TrailState(3, checked=True)
-    st.enqueue_decision(lit(1))
-    st.enqueue_decision(lit(3))
+    enqueue_decision(st, lit(1))
+    enqueue_decision(st, lit(3))
     st.enqueue_implied(lit(2), r1, 2)
     before = list(conflict.lits)
     learned = analyze(st, conflict.lits, 2)
@@ -109,7 +109,7 @@ def test_analyze_asserts_resolvent_stays_falsified():
         bad = f.add_clause([2, -1, 3])
         conflict = f.add_clause([-2, -1])
         st = TrailState(3)
-        st.enqueue_decision(lit(1))
+        enqueue_decision(st, lit(1))
         st.enqueue_implied(lit(2), bad, 1)
         st.head = len(st.trail)
         st.checked = True
@@ -126,7 +126,7 @@ def test_analyze_allocates_nothing_per_declared_variable():
     r2 = f.add_clause([2, -1])
     conflict = f.add_clause([-2, -1])
     st = TrailState(n)
-    st.enqueue_decision(lit(1))
+    enqueue_decision(st, lit(1))
     st.enqueue_implied(lit(2), r2, 1)
     tracemalloc.start()
     try:
@@ -155,9 +155,9 @@ def test_minimize_self_subsuming_direct():
     f = Formula(3)
     r2 = f.add_clause([2, -1])
     st = TrailState(3, checked=True)
-    st.enqueue_decision(lit(1))
+    enqueue_decision(st, lit(1))
     st.enqueue_implied(lit(2), r2, 1)
-    st.enqueue_decision(lit(3))
+    enqueue_decision(st, lit(3))
     from lazysat.analyze import LearnedClause
 
     learned = LearnedClause(
@@ -172,8 +172,8 @@ def test_minimize_self_subsuming_direct():
 def test_minimize_fixpoint_when_nothing_removable():
     f = Formula(3)
     st = TrailState(3)
-    st.enqueue_decision(lit(1))
-    st.enqueue_decision(lit(2))
+    enqueue_decision(st, lit(1))
+    enqueue_decision(st, lit(2))
     from lazysat.analyze import LearnedClause
 
     learned = LearnedClause(

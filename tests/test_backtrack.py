@@ -8,7 +8,7 @@ from lazysat.solver import Solver, SolverConfig, Stats
 from lazysat.state import INF, UNDEF, TrailState, backtrack
 from lazysat.testkit import random_3sat, satlib_clause_count
 from support import lit_from_int as lit
-from support import s1_replay, violations
+from support import enqueue_decision, s1_replay, violations
 
 
 def test_wcb_keeps_low_literals_without_repair():
@@ -68,7 +68,7 @@ def test_checked_backtrack_refuses_a_non_unit_stored_mli():
     mli = f.add_clause([3, -2])
     st = TrailState(3, checked=True)
     for n in (1, 2, 3):
-        st.enqueue_decision(lit(n))
+        enqueue_decision(st, lit(n))
     st.set_lazy(lit(3), mli, 2)
     st.lazy_lvl[3] = 1
     with pytest.raises(AssertionError):

@@ -10,6 +10,7 @@ from lazysat.solver import Solver, SolverConfig
 from lazysat.state import FALSE, INF, TRUE, UNDEF, TrailState
 from lazysat.testkit import random_3sat
 from support import (
+    enqueue_decision,
     lit_from_int,
     s1_replay,
     s2_replay,
@@ -114,8 +115,8 @@ def test_inv6_catches_stale_cache():
     f = Formula(3)
     mli = f.add_clause([3, -1])
     st = TrailState(3)
-    st.enqueue_decision(lit_from_int(1))
-    st.enqueue_decision(lit_from_int(3))
+    enqueue_decision(st, lit_from_int(1))
+    enqueue_decision(st, lit_from_int(3))
     st.set_lazy(lit_from_int(3), mli, 1)
     assert violations(st, f, 6) == []
     st.lazy_lvl[3] = 0  # corrupt the cache
@@ -129,9 +130,9 @@ def _trail_state():
     for ints in ([-1, 2], [3, -1], [2, 4], [3, 4]):
         f.add_clause(ints)
     st = TrailState(4, checked=True)
-    st.enqueue_decision(lit_from_int(1))
+    enqueue_decision(st, lit_from_int(1))
     st.enqueue_implied(lit_from_int(2), f.clauses[0], 1)
-    st.enqueue_decision(lit_from_int(3))
+    enqueue_decision(st, lit_from_int(3))
     st.set_lazy(lit_from_int(3), f.clauses[1], 1)
     st.head = len(st.trail)
     return st, f
@@ -456,7 +457,7 @@ def test_check_ids_keeps_nothing_between_calls():
     f = Formula(3)
     clause = f.add_clause([2, 3, -1])
     st = TrailState(3)
-    st.enqueue_decision(lit_from_int(1))
+    enqueue_decision(st, lit_from_int(1))
     st.head = 1
     assert check_ids(st, f) == []
     clause.w1 = lit_from_int(-1)

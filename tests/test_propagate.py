@@ -8,7 +8,7 @@ from lazysat.solver import MODES, Solver, SolverConfig, Stats
 from lazysat.state import FALSE, TRUE, TrailState
 from lazysat.testkit import random_3sat
 from support import lit_from_int as lit
-from support import s1_replay, s2_replay
+from support import enqueue_decision, s1_replay, s2_replay
 
 
 def make_rig(num_vars, clause_ints, mode="lscb"):
@@ -24,7 +24,7 @@ def make_rig(num_vars, clause_ints, mode="lscb"):
 def test_search_idx_case_a_unassigned():
     f, st, prop = make_rig(3, [[1, 2, 3]])
     c = f.clauses[0]
-    st.enqueue_decision(lit(-1))
+    enqueue_decision(st, lit(-1))
     r = prop._search_idx(c, lit(1), lit(2))
     assert r == lit(3)
 
@@ -34,9 +34,9 @@ def test_search_idx_case_b_total_falsification():
     # level 1, and the max-level tie breaks away from the falsified watch
     f, st, prop = make_rig(6, [[2, 3, -5], [-5, -3]])
     c = f.clauses[0]
-    st.enqueue_decision(lit(5))  # falsifies -5 at level 1
+    enqueue_decision(st, lit(5))  # falsifies -5 at level 1
     st.enqueue_implied(lit(-3), f.clauses[1], 1)  # falsifies 3 at level 1
-    st.enqueue_decision(lit(2))  # satisfies the first watch at level 2
+    enqueue_decision(st, lit(2))  # satisfies the first watch at level 2
     r = prop._search_idx(c, lit(3), lit(2))
     assert r == lit(-5)
     assert st.level[r >> 1] == 1
@@ -59,7 +59,7 @@ def test_search_idx_matches_full_scan_on_falsified_clauses():
         prop = Propagator(f, st, "lscb", Stats())
         c1, c2 = rng.sample(c.lits, 2)
         for d in range(n + 1, n + k + 1):
-            st.enqueue_decision(lit(d))
+            enqueue_decision(st, lit(d))
         for x in c.lits:
             if x != c2:
                 st.enqueue_implied(x ^ 1, c, rng.randint(1, k))
@@ -96,7 +96,7 @@ def test_search_idx_takes_the_first_free_literal_from_search_pos():
         st = TrailState(n)
         prop = Propagator(f, st, "lscb", Stats())
         c1, c2 = rng.sample(c.lits, 2)
-        st.enqueue_decision(c1 ^ 1)
+        enqueue_decision(st, c1 ^ 1)
         for x in c.lits:
             if x != c1 and rng.random() < 0.6:  # else left free
                 st.enqueue_implied(x ^ 1 if rng.random() < 0.7 else x, c, 1)
@@ -141,7 +141,7 @@ def test_bcp_conflict_on_pending_queue():
 
 def test_bcp_empty_watchlist_no_change():
     f, st, prop = make_rig(3, [[1, 2]])
-    st.enqueue_decision(lit(3))
+    enqueue_decision(st, lit(3))
     trail_before = list(st.trail)
     assert prop.bcp() is None
     assert st.trail == trail_before
@@ -163,7 +163,7 @@ def test_bcp_conflict_leaves_trigger_queued():
 
 def test_propagation_counter_once_per_pop():
     f, st, prop = make_rig(4, [[1, 2], [1, 3]])
-    st.enqueue_decision(lit(-1))
+    enqueue_decision(st, lit(-1))
     assert prop.bcp() is None
     # popped: -1, then the two implied literals
     assert prop.stats.propagations == 3
@@ -326,7 +326,7 @@ def ternary_case(mode, w0, w1, c1_slot, third, c2_state):
             polarity, lvl = state
             wanted.append((x if polarity == "true" else x ^ 1, lvl))
     for lvl in (1, 2, 3):
-        st.enqueue_decision(lit(3 + lvl))
+        enqueue_decision(st, lit(3 + lvl))
         for x, at in wanted:
             if at == lvl:
                 st.enqueue_implied(x, None, lvl)  # reasons play no part in a watch visit
@@ -426,8 +426,8 @@ def test_ternary_watch_visit_matches_search_idx():
 
 # The per-literal kernel that ``Propagator.bcp`` replaced, kept here as the
 # reference the one-frame kernel must agree with: one call per queued
-# literal, implications through ``enqueue_implied``, and each pop traced
-# before the head moves.
+# literal, implications through ``enqueue_implied``, decisions through
+# ``enqueue_decision``, and each pop traced before the head moves.
 
 
 def reference_propagate_literal(prop, lit):
@@ -496,7 +496,7 @@ def reference_bcp(prop, decide=None):
         if st.head == len(st.trail):
             if decide is None or st.head == st.num_vars:
                 return None
-            st.enqueue_decision(decide())
+            enqueue_decision(st, decide())
             stats.decisions += 1
         conflict = reference_propagate_literal(prop, st.trail[st.head])
         if conflict is not None:

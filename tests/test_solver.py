@@ -19,7 +19,7 @@ from lazysat.solver import SolverConfig as cfg
 from lazysat.state import UNDEF, backtrack
 from lazysat.testkit import brute_force, random_3sat, satlib_clause_count
 from support import lit_from_int as lit
-from support import ZERO_IDS, replay_trace, s1_formula, solve_record
+from support import ZERO_IDS, enqueue_decision, replay_trace, s1_formula, solve_record
 
 
 def test_empty_formula_is_sat():
@@ -123,7 +123,7 @@ def test_decide_prefers_bumped_variables():
     s = Solver(f)
     # the solver's order: a learned clause's literals are assigned when it
     # bumps them, and the backtrack that follows requeues them
-    s.state.enqueue_decision(lit(-3))
+    enqueue_decision(s.state, lit(-3))
     s._bump_clause([lit(3)])
     backtrack(s.state, 0, "lscb", s.stats)
     assert lit_to_int(s.decide()) == -3
@@ -133,7 +133,7 @@ def test_decide_phase_saving_follows_last_assignment():
     f = Formula(2)
     f.add_clause([1, 2])
     s = Solver(f)
-    s.state.enqueue_decision(lit(1))
+    enqueue_decision(s.state, lit(1))
     backtrack(s.state, 0, "lscb", s.stats)
     assert lit_to_int(s.decide()) == 1  # saved positive phase
 
@@ -458,7 +458,8 @@ def test_traced_and_untraced_runs_decide_alike():
 
 
 def test_inline_decision_refuses_an_assigned_literal():
-    # bcp's inline decision keeps enqueue_decision's check, checked or not
+    # bcp's inline decision refuses an assigned literal, checked or not, as
+    # the reference writer support.enqueue_decision does
     for check_level in ("off", "coarse"):
         s = Solver(random_3sat(20, 91, 0), cfg(cb_threshold=1, check_level=check_level))
         assert s.setup() is None
@@ -751,7 +752,7 @@ def test_a_decision_adds_no_checker_report():
             if len(s.state.trail) == s.formula.num_vars:
                 break
             before = pairs(s)
-            s.state.enqueue_decision(s.decide())
+            enqueue_decision(s.state, s.decide())
             after = pairs(s)
             assert after <= before, (mode, analyze, minimize, seed, after - before)
             decisions += 1

@@ -3,7 +3,7 @@ import pytest
 from lazysat.formula import Formula
 from lazysat.state import FALSE, INF, TRUE, UNDEF, TrailState
 from support import lit_from_int as lit
-from support import s1_replay
+from support import enqueue_decision, s1_replay
 
 
 def test_value_fresh_state():
@@ -17,23 +17,6 @@ def test_value_on_replay_trail():
     st = out["rig"].state
     assert st.val[lit(-3)] == TRUE
     assert st.val[lit(3)] == FALSE
-
-
-def test_enqueue_decision_levels():
-    st = TrailState(4)
-    st.enqueue_decision(lit(1))
-    assert st.level[lit(1) >> 1] == 1
-    assert st.trail[0] == lit(1)
-    st.enqueue_decision(lit(2))
-    assert st.level[lit(2) >> 1] == 2
-    assert len(st.decisions) == 2
-
-
-def test_enqueue_decision_on_assigned_is_contract_violation():
-    st = TrailState(2)
-    st.enqueue_decision(lit(1))
-    with pytest.raises(AssertionError):
-        st.enqueue_decision(lit(-1))
 
 
 def test_enqueue_implied_root_unit_level_zero():
@@ -69,7 +52,7 @@ def test_enqueue_implied_checked_asserts(decided, clause, implied, lvl, message)
     reason = f.add_clause(clause)
     st = TrailState(3, checked=True)
     for n in decided:
-        st.enqueue_decision(lit(n))
+        enqueue_decision(st, lit(n))
     with pytest.raises(AssertionError, match="^%s$" % message):
         st.enqueue_implied(lit(implied), reason, lvl)
 
@@ -92,7 +75,7 @@ def test_set_lazy_checked_asserts(target, clause, lvl, stored, message):
     mli = f.add_clause(clause)
     st = TrailState(4, checked=True)
     for n in (1, 3, 4):
-        st.enqueue_decision(lit(n))
+        enqueue_decision(st, lit(n))
     if stored:
         st.set_lazy(lit(3), f.add_clause([3, -1]), 1)
     with pytest.raises(AssertionError, match="^%s$" % message):
@@ -101,7 +84,7 @@ def test_set_lazy_checked_asserts(target, clause, lvl, stored, message):
 
 def test_set_lazy_fresh_literal_defaults():
     st = TrailState(3)
-    st.enqueue_decision(lit(1))
+    enqueue_decision(st, lit(1))
     assert st.val[lit(1)] == TRUE
     assert st.lazy_cl[1] is None
     assert st.lazy_lvl[1] == INF
@@ -114,10 +97,10 @@ def test_set_lazy_records_and_improves():
     m1 = f.add_clause([4, -2])
     m2 = f.add_clause([4, -1])
     st = TrailState(4, checked=True)
-    st.enqueue_decision(lit(1))
-    st.enqueue_decision(lit(2))
-    st.enqueue_decision(lit(3))
-    st.enqueue_decision(lit(4))
+    enqueue_decision(st, lit(1))
+    enqueue_decision(st, lit(2))
+    enqueue_decision(st, lit(3))
+    enqueue_decision(st, lit(4))
     st.set_lazy(lit(4), m1, 2)
     assert st.val[lit(4)] == TRUE
     assert st.lazy_cl[4] is m1
@@ -136,7 +119,7 @@ def test_set_lazy_requires_mli_shape():
     f = Formula(3)
     c = f.add_clause([3, -1])
     st = TrailState(3, checked=True)
-    st.enqueue_decision(lit(3))
+    enqueue_decision(st, lit(3))
     with pytest.raises(AssertionError):
         st.set_lazy(lit(3), c, st.residual(c.lits, lit(3))[0])  # rest not falsified
 
@@ -166,7 +149,7 @@ def test_trace_hook_emits_events():
     st = TrailState(3, trace=events.append)
     f = Formula(3)
     c = f.add_clause([2, -1])
-    st.enqueue_decision(lit(1))
+    enqueue_decision(st, lit(1))
     st.enqueue_implied(lit(2), c, 1)
     kinds = [e["kind"] for e in events]
     assert kinds == ["decide", "imply"]
